@@ -6,6 +6,11 @@ rate lam_i while a channel is free, active sources deactivate at rate mu)
 and solves the global balance equations densely. Metrics are derived by
 direct summation over states, independently of the product-form solver
 this module exists to check.
+
+The dense solve holds the n x n transposed generator and the work copy
+LAPACK makes of it, 16 n^2 bytes in all, and costs O(n^3) time.
+STATE_CAP = 5,000 bounds that at about 400 MB; larger chains end in
+StateSpaceError instead of exhausting memory.
 """
 
 from __future__ import annotations
@@ -21,7 +26,7 @@ from .engset import BlockingMetrics, _snap01
 from .errors import StateSpaceError, ZeroTrafficError
 from .traffic import LoadVector, arrival_intensities, as_load_vector
 
-STATE_CAP = 200_000
+STATE_CAP = 5_000
 
 
 @dataclass(frozen=True)
@@ -69,26 +74,29 @@ def ctmc_oracle(loads: LoadVector | Sequence[float], w: int,
     index = {s: j for j, s in enumerate(states)}
     n = len(states)
 
-    q = np.zeros((n, n))
+    # Column j of the transposed generator holds the rates out of state j.
+    qt = np.zeros((n, n))
     for j, state in enumerate(states):
         members = set(state)
         for i in state:
             target = tuple(x for x in state if x != i)
-            q[j, index[target]] += mu
+            qt[index[target], j] += mu
         if len(state) < w:
             for i in range(m):
                 if i not in members and lam[i] > 0.0:
                     target = tuple(sorted(state + (i,)))
-                    q[j, index[target]] += lam[i]
-        q[j, j] = -q[j].sum()
+                    qt[index[target], j] += lam[i]
+        qt[j, j] = -qt[:, j].sum()
 
-    # pi Q = 0 with one equation replaced by normalization.
-    system = q.T.copy()
-    system[-1, :] = 1.0
+    # Q^T pi = 0 with the last equation replaced by normalization; the
+    # replaced row is put back to measure the balance residual.
+    last = qt[-1].copy()
+    qt[-1] = 1.0
     rhs = np.zeros(n)
     rhs[-1] = 1.0
-    pi = np.linalg.solve(system, rhs)
-    residual = float(np.abs(pi @ q).max())
+    pi = np.linalg.solve(qt, rhs)
+    qt[-1] = last
+    residual = float(np.abs(qt @ pi).max())
 
     blocked_states = [j for j, s in enumerate(states) if len(s) == w]
     time_c = float(pi[blocked_states].sum()) if blocked_states else 0.0

@@ -146,7 +146,11 @@ def engset_lcc(loads: LoadVector | Sequence[float], w: int) -> BlockingMetrics:
     per-source call  = e_W(r w/o i) / sum_{k<=W} e_k(r w/o i)
     call congestion  = attempt-rate weighted blocking,
                        sum_i lam_i P(i off, W busy) / sum_i lam_i P(i off)
-    carried load c_i = P(i on); traffic congestion = 1 - sum c_i / sum A_i
+    per-source traffic = (A_i - P(i on)) / A_i
+                       = e_W(r w/o i) / (sum_{k<=W} e_k + r_i sum_{k<W} e_k)
+                       over the sums of r w/o i, free of the cancellation
+                       in the difference when the loss is small
+    traffic congestion = sum_i A_i * per-source traffic / sum A_i
     """
     a, offered = _validated(loads, w)
     m = len(a)
@@ -159,25 +163,22 @@ def engset_lcc(loads: LoadVector | Sequence[float], w: int) -> BlockingMetrics:
 
     per_call = [0.0] * m
     per_traffic = [0.0] * m
-    carried = [0.0] * m
     off_prob = [0.0] * m
     for i in range(m):
         # e_k of the other M-1 sources, common unknown scale cancels below.
         ei = np.convolve(prefix[i], suffix[i + 1])[:kmax + 1]
         gi = float(ei.sum())
-        bi = _at(ei, w) / gi
+        eiw = _at(ei, w)
         hi = float(ei[:w].sum())  # degrees 0..W-1
         ratio = r[i] * hi / gi    # P(i on) / P(i off)
-        ci = ratio / (1.0 + ratio)
-        per_call[i] = _snap01(bi)
-        carried[i] = ci
-        off_prob[i] = 1.0 - ci
-        per_traffic[i] = _snap01((a[i] - ci) / a[i]) if a[i] > 0.0 else 0.0
+        per_call[i] = _snap01(eiw / gi)
+        off_prob[i] = 1.0 - ratio / (1.0 + ratio)
+        per_traffic[i] = eiw / (gi + r[i] * hi) if a[i] > 0.0 else 0.0
 
     attempt_weights = [r[i] * off_prob[i] for i in range(m)]
     call_c = (math.fsum(wgt * b for wgt, b in zip(attempt_weights, per_call))
               / math.fsum(attempt_weights))
-    traffic_c = (offered - math.fsum(carried)) / offered
+    traffic_c = math.fsum(a[i] * per_traffic[i] for i in range(m)) / offered
     return BlockingMetrics(
         time_congestion=_snap01(time_c),
         call_congestion=_snap01(call_c),
@@ -284,7 +285,8 @@ def engset_classical(s: int, per_source_load: float, w: int) -> BlockingMetrics:
     """Homogeneous loss system: S equal sources, truncated binomial occupancy.
 
     Call congestion equals the time congestion of the system with one
-    source removed. Agrees with engset_lcc on S equal loads.
+    source removed; traffic congestion takes engset_lcc's direct form on
+    the same reduced terms. Agrees with engset_lcc on S equal loads.
     """
     if s < 1:
         raise ValueError("S must be >= 1")
@@ -299,11 +301,9 @@ def engset_classical(s: int, per_source_load: float, w: int) -> BlockingMetrics:
     g = float(terms.sum())
     time_c = _at(terms, w) / g
     reduced = _binomial_terms(s - 1, r, w)
-    call_c = _at(reduced, w) / float(reduced.sum())
-    carried = float((np.arange(len(terms)) * terms).sum()) / g
-    offered = s * per_source_load
-    traffic_c = _snap01((offered - carried) / offered)
-    call_c = _snap01(call_c)
+    reduced_g = float(reduced.sum())
+    call_c = _snap01(_at(reduced, w) / reduced_g)
+    traffic_c = _at(reduced, w) / (reduced_g + r * float(reduced[:w].sum()))
     return BlockingMetrics(
         time_congestion=_snap01(time_c),
         call_congestion=call_c,

@@ -42,8 +42,6 @@ from dataclasses import dataclass
 from heapq import heappop, heappush
 from typing import Sequence
 
-from scipy import stats as _sstats
-
 from .errors import EstimationError
 from .traffic import LoadVector, arrival_intensities, as_load_vector
 
@@ -130,7 +128,9 @@ def confidence_interval(samples: Sequence[float], level: float = 0.95) -> tuple[
         raise ValueError("level must lie in (0, 1)")
     mean = math.fsum(xs) / n
     var = math.fsum((x - mean) ** 2 for x in xs) / (n - 1)
-    quantile = float(_sstats.t.ppf(0.5 + level / 2.0, n - 1))
+    # Imported here so that only simulation pays for loading scipy.
+    from scipy.special import stdtrit
+    quantile = float(stdtrit(n - 1, 0.5 + level / 2.0))
     return mean, quantile * math.sqrt(var / n)
 
 

@@ -65,6 +65,12 @@ class TestAnalyzeCommand:
         assert code == 2
         assert "cap" in err
 
+    def test_oracle_past_dense_solve_cap_exits_2(self, capsys):
+        code, _, err = run_cli(capsys, "analyze", "--loads", ",".join(["0.1"] * 18),
+                               "--w", "9", "--model", "oracle")
+        assert code == 2
+        assert "155382 states" in err
+
     def test_oracle_matches_lcc(self, capsys):
         _, out_a, _ = run_cli(capsys, "analyze", "--loads", "0.7,0.1", "--w", "1",
                               "--model", "oracle")

@@ -38,6 +38,13 @@ def test_state_cap_error_names_cap():
         ctmc_oracle([0.1] * 64, 32)
 
 
+def test_cap_bounds_dense_solve_memory():
+    # M=18, W=9 has 155,382 states: a dense solve would need ~190 GB.
+    assert 16 * STATE_CAP ** 2 <= 400e6
+    with pytest.raises(StateSpaceError, match="155382 states"):
+        ctmc_oracle([0.1] * 18, 9)
+
+
 def test_zero_traffic_error():
     with pytest.raises(ZeroTrafficError):
         ctmc_oracle([0.0, 0.0], 1)

@@ -3,6 +3,7 @@
 import math
 import random
 
+import mpmath
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -244,3 +245,50 @@ class TestOccupancy:
         assert math.fsum(dist.probs) == pytest.approx(1.0, abs=1e-12)
         assert len(dist) == len(loads) + 1
         assert dist.mean() == pytest.approx(math.fsum(loads), abs=1e-9)
+
+
+def mp_lcc_reference(loads, w, source=None):
+    """Traffic congestion of the truncated product form at 60 digits.
+
+    Returns the aggregate 1 - E|S| / sum A_i, or with ``source`` given that
+    source's (A_i - P(i on)) / A_i from the ESP of the other sources.
+    """
+    with mpmath.workdps(60):
+        a = [mpmath.mpf(x) for x in loads]
+        r = [x / (1 - x) for x in a]
+        others = r if source is None else r[:source] + r[source + 1:]
+        e = [mpmath.mpf(1)] + [mpmath.mpf(0)] * w
+        for ri in others:
+            for k in range(w, 0, -1):
+                e[k] += ri * e[k - 1]
+        if source is None:
+            mean = mpmath.fsum(k * ek for k, ek in enumerate(e)) / mpmath.fsum(e)
+            return 1 - mean / mpmath.fsum(a)
+        ratio = r[source] * mpmath.fsum(e[:w]) / mpmath.fsum(e)
+        return 1 - ratio / (1 + ratio) / a[source]
+
+
+class TestDeepTailAccuracy:
+    """Relative accuracy where the loss is far below double rounding of 1."""
+
+    @pytest.mark.parametrize("m, w, load, plr", [(32, 16, 0.05, 2.0e-13),
+                                                 (64, 24, 0.05, 1.2e-15)])
+    def test_equal_loads_match_mpmath(self, m, w, load, plr):
+        ref = mp_lcc_reference([load] * m, w)
+        assert float(ref) == pytest.approx(plr, rel=0.01)
+        assert engset_lcc([load] * m, w).traffic_congestion == pytest.approx(
+            float(ref), rel=1e-12, abs=0.0)
+        assert engset_classical(m, load, w).traffic_congestion == pytest.approx(
+            float(ref), rel=1e-12, abs=0.0)
+
+    def test_one_hot_loads_match_mpmath(self):
+        loads = make_load_vector(256, 0.3 * 64, 0.95).loads
+        hot, cold = loads.index(max(loads)), loads.index(min(loads))
+        assert len(set(loads)) == 2
+        metrics = engset_lcc(loads, 64)
+        ref = mp_lcc_reference(loads, 64)
+        assert 1e-18 < float(ref) < 1e-17
+        assert metrics.traffic_congestion == pytest.approx(float(ref), rel=1e-12, abs=0.0)
+        for i in (hot, cold):
+            assert metrics.per_source_traffic[i] == pytest.approx(
+                float(mp_lcc_reference(loads, 64, source=i)), rel=1e-12, abs=0.0)

@@ -51,6 +51,13 @@ class TestConfidenceInterval:
         assert mean == pytest.approx(mu, abs=1e-12)
         assert hw == pytest.approx(expected, abs=1e-9)
 
+    def test_quantile_pinned_bit_for_bit(self):
+        # Simulator CSV half-widths depend on these exact bits.
+        from scipy.special import stdtrit
+        assert float(stdtrit(9, 0.975)) == 2.262157162798205
+        samples = [0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9, 1.0]
+        assert confidence_interval(samples) == (0.55, 0.2165850589668169)
+
     def test_requires_two_samples(self):
         with pytest.raises(ValueError):
             confidence_interval([0.3])
