@@ -14,20 +14,19 @@ from .errors import (EstimationError, InfeasibleTuiError, StateSpaceError,
                      ZeroTrafficError)
 from .sim import (Estimate, ReplicationStats, SimResult, SimSpec,
                   confidence_interval, simulate)
-from .sweep import (CSV_HEADER, METRICS, MODELS, ModelError, SimSettings,
+from .sweep import (ANALYTIC_MODELS, CSV_HEADER, METRICS, MODELS, ModelError, SimSettings,
                     SweepRow, SweepSpec, default_tui_grid, make_preset,
                     preset_names, rows_from_csv, rows_to_csv, run_sweep,
                     traditional_model_error)
-from .traffic import (LoadVector, SystemConfig, arrival_intensities,
-                      as_load_vector, make_load_vector, min_feasible_tui,
-                      offered_ratios, tui)
+from .traffic import (LoadVector, arrival_intensities, as_load_vector,
+                      make_load_vector, min_feasible_tui, offered_ratios, tui)
 
 __all__ = [
-    "BlockingMetrics", "CSV_HEADER", "CtmcSolution", "Estimate",
+    "ANALYTIC_MODELS", "BlockingMetrics", "CSV_HEADER", "CtmcSolution", "Estimate",
     "EstimationError", "InfeasibleTuiError", "LoadVector", "METRICS", "MODELS",
     "ModelError", "OccupancyDistribution", "ReplicationStats", "STATE_CAP",
     "SimResult", "SimSettings", "SimSpec", "StateSpaceError", "SweepRow",
-    "SweepSpec", "SystemConfig", "ZeroTrafficError", "arrival_intensities",
+    "SweepSpec", "ZeroTrafficError", "arrival_intensities",
     "as_load_vector", "confidence_interval", "ctmc_oracle", "default_tui_grid",
     "engset_classical", "engset_lcc", "engset_ofl", "lcc_occupancy",
     "make_load_vector", "make_preset", "min_feasible_tui", "ofl_occupancy",

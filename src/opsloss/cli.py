@@ -17,14 +17,15 @@ import sys
 from typing import Callable
 
 from .ctmc import ctmc_oracle
-from .engset import BlockingMetrics, engset_classical, engset_lcc, engset_ofl
+from .engset import BlockingMetrics
 from .errors import EstimationError
 from .sim import MODES, SimSpec, simulate
-from .sweep import (CSV_HEADER, METRICS, MODELS, SimSettings, SweepRow, SweepSpec,
-                    format_row, make_preset, preset_names, rows_to_csv, run_sweep)
+from .sweep import (ANALYTIC_MODELS, CSV_HEADER, METRICS, MODELS, SimSettings, SweepRow,
+                    SweepSpec, format_row, make_preset, preset_names, rows_to_csv, run_sweep)
 from .traffic import LoadVector, make_load_vector, tui as compute_tui
 
-ANALYZE_MODELS = ("lcc", "ofl", "classical", "oracle")
+# The sweep's analytic models plus the brute-force oracle.
+ANALYZE_MODELS = {**ANALYTIC_MODELS, "oracle": lambda loads, w: ctmc_oracle(loads, w)[1]}
 
 
 def _parse_float_list(text: str) -> tuple[float, ...]:
@@ -85,11 +86,10 @@ def _print_csv_rows(rows: list[SweepRow]) -> None:
 
 def _metric_rows(name: str, loads: LoadVector, w: int, model: str,
                  metrics: BlockingMetrics) -> list[SweepRow]:
-    values = {"time": metrics.time_congestion, "call": metrics.call_congestion,
-              "traffic": metrics.traffic_congestion}
     a = loads.total / w
     t = compute_tui(loads)
-    return [SweepRow(name, len(loads), w, a, t, model, metric, values[metric], None)
+    return [SweepRow(name, len(loads), w, a, t, model, metric,
+                     getattr(metrics, f"{metric}_congestion"), None)
             for metric in METRICS]
 
 
@@ -123,16 +123,9 @@ def cmd_analyze(args: argparse.Namespace) -> int:
         if getattr(args, flag) is None:
             raise ValueError(f"--{flag} is required")
     if args.model not in ANALYZE_MODELS:
-        raise ValueError(f"model must be one of {ANALYZE_MODELS}, got {args.model!r}")
+        raise ValueError(f"model must be one of {tuple(ANALYZE_MODELS)}, got {args.model!r}")
     loads = LoadVector(args.loads)
-    if args.model == "lcc":
-        metrics = engset_lcc(loads, args.w)
-    elif args.model == "ofl":
-        metrics = engset_ofl(loads, args.w)
-    elif args.model == "classical":
-        metrics = engset_classical(len(loads), loads.total / len(loads), args.w)
-    else:
-        _, metrics = ctmc_oracle(loads, args.w)
+    metrics = ANALYZE_MODELS[args.model](loads, args.w)
     _print_csv_rows(_metric_rows("analyze", loads, args.w, args.model, metrics))
     return 0
 
@@ -161,8 +154,8 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     a = loads.total / spec.w
     t = compute_tui(loads)
     rows = []
-    for metric, est in (("time", res.time_congestion), ("call", res.call_congestion),
-                        ("traffic", res.traffic_congestion)):
+    for metric in METRICS:
+        est = getattr(res, f"{metric}_congestion")
         rows.append(SweepRow("simulate", len(loads), spec.w, a, t, model, metric,
                              est.value, est.half_width))
     for i in range(len(loads)):

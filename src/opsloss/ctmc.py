@@ -112,17 +112,21 @@ def ctmc_oracle(loads: LoadVector | Sequence[float], w: int,
             if i not in members:
                 blocked_off[i] += pi[j]
 
+    # Global balance of source i, lam_i P(i off, not blocked) = mu P(i on),
+    # gives (A_i - P(i on)) / A_i = P(i off, W busy): the lost share of
+    # source i's offered load, read without the cancellation of the
+    # difference when the loss is small.
     per_call = [0.0] * m
     per_traffic = [0.0] * m
     for i in range(m):
         off = 1.0 - on_prob[i]
         per_call[i] = _snap01(blocked_off[i] / off) if off > 0.0 else 0.0
-        per_traffic[i] = _snap01((a[i] - on_prob[i]) / a[i]) if a[i] > 0.0 else 0.0
+        per_traffic[i] = _snap01(float(blocked_off[i])) if a[i] > 0.0 else 0.0
 
     attempt_rate = [lam[i] * (1.0 - on_prob[i]) for i in range(m)]
     total_attempts = math.fsum(attempt_rate)
     call_c = math.fsum(lam[i] * blocked_off[i] for i in range(m)) / total_attempts
-    traffic_c = (offered - float(on_prob.sum())) / offered
+    traffic_c = math.fsum(a[i] * blocked_off[i] for i in range(m)) / offered
 
     metrics = BlockingMetrics(
         time_congestion=_snap01(time_c),

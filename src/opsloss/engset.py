@@ -9,10 +9,8 @@ Lost calls cleared (LCC)
     starts a fresh idle period. The set S of transmitting sources is then
     the free on/off process truncated to |S| <= W, which preserves the
     product form pi(S) = prod_{i in S} r_i / G. Aggregation over |S| = k
-    needs only the elementary symmetric polynomials e_k(r), computed by
-    the O(M*W) column recurrence. Leave-one-out polynomials e_k(r without
-    i) come from a prefix/suffix table, so per-source metrics avoid the
-    cancellation-prone deflation e_k - r_i * e_{k-1}.
+    needs only the elementary symmetric polynomials e_k(r), the
+    coefficients of prod_i (1 + r_i x) truncated at degree W.
 
 Overflow (OFL)
     Sources transmit whether or not a channel is free (the upstream
@@ -21,6 +19,23 @@ Overflow (OFL)
     binomial law of independent indicators with P(on) = A_i, and the lost
     fraction of offered load is E[(N-W)+] / E[N].
 
+Both models group the sources into load classes: the distinct loads, in
+order of first appearance, each with its multiplicity n_c. Sources of one
+class see the same blocking, so every leave-one-out quantity is computed
+once per class, not once per source:
+
+- LCC multiplies one binomial factor (1 + r_c x)^{n_c} per class. A table
+  of suffix products (classes + 1 rows of W + 1 coefficients) and a rolling
+  prefix row give each class's leave-one-out polynomial as
+  prefix * suffix * (1 + r_c x)^{n_c - 1}, so per-source metrics avoid the
+  cancellation-prone deflation e_k - r_i * e_{k-1}. Cost O(classes * W^2)
+  time and O(classes * W) memory; the paper's one-hot loads have two
+  classes, all-distinct loads M classes of one source each.
+- OFL keeps the full Poisson binomial pmf (O(M) vector steps) and deflates
+  one source of each class out of it in a single pass over k, vectorised
+  over the classes, forward for P(on) < 1/2 and backward otherwise; the
+  tail sums are accumulated on the way, so memory stays O(M + classes).
+
 Every table row is rescaled by its peak when it grows past 1e150; all
 reported quantities are ratios of like-scaled sums, so the scale factor
 cancels and never needs to be tracked.
@@ -28,8 +43,8 @@ cancels and never needs to be tracked.
 Both models report time congestion (all channels busy), call congestion
 (blocked fraction of attempts) and traffic congestion (lost fraction of
 offered load, the packet loss ratio of a bufferless switch), as aggregates
-and per source. ``engset_classical`` is the homogeneous special case used
-as the uniformity-blind baseline.
+and per source. ``engset_classical`` is the homogeneous special case, the
+one-class LCC call, used as the uniformity-blind baseline.
 """
 
 from __future__ import annotations
@@ -88,6 +103,31 @@ class OccupancyDistribution:
         return float(sum(k * p for k, p in enumerate(self.probs)))
 
 
+@dataclass(frozen=True)
+class _LoadClasses:
+    """Sources grouped by load: distinct loads in order of first appearance."""
+
+    loads: tuple[float, ...]
+    counts: tuple[int, ...]
+    members: tuple[int, ...]  # class index of every source
+
+    @classmethod
+    def of(cls, loads: Sequence[float]) -> "_LoadClasses":
+        index: dict[float, int] = {}
+        members = tuple(index.setdefault(x, len(index)) for x in loads)
+        counts = [0] * len(index)
+        for c in members:
+            counts[c] += 1
+        return cls(tuple(index), tuple(counts), members)
+
+    def per_source(self, per_class: Sequence[float]) -> tuple[float, ...]:
+        return tuple(per_class[c] for c in self.members)
+
+    def total(self, per_class: Sequence[float]) -> float:
+        """Sum over sources of a per-class value."""
+        return math.fsum(n * x for n, x in zip(self.counts, per_class))
+
+
 def _snap01(x: float) -> float:
     """Clamp boundary rounding noise into [0, 1]; real violations still raise."""
     if -_SNAP < x < 0.0:
@@ -101,32 +141,42 @@ def _at(arr: np.ndarray, k: int) -> float:
     return float(arr[k]) if 0 <= k < len(arr) else 0.0
 
 
-def _esp_prefix_suffix(r: Sequence[float], kmax: int) -> tuple[np.ndarray, np.ndarray]:
-    """Elementary symmetric polynomial tables, degree 0..kmax.
+def _rescaled(row: np.ndarray) -> np.ndarray:
+    peak = row.max()
+    if peak > _RESCALE_THRESHOLD:
+        row /= peak
+    return row
 
-    prefix[i] holds e_k(r[0:i]) and suffix[i] holds e_k(r[i:]), each row
-    rescaled independently (ratios within a row stay exact).
+
+def _binomial_factor(n: int, r: float, kmax: int) -> np.ndarray:
+    """(1 + r x)^n up to degree kmax: C(n, k) r^k for k = 0..min(n, kmax).
+
+    Rescaled inside the recurrence whenever a term passes the threshold,
+    since C(n, k) r^k alone overflows for thousands of sources.
     """
-    m = len(r)
-    prefix = np.zeros((m + 1, kmax + 1))
-    prefix[0, 0] = 1.0
-    for i in range(m):
-        row = prefix[i].copy()
-        row[1:] += r[i] * prefix[i][:-1]
-        peak = row.max()
-        if peak > _RESCALE_THRESHOLD:
-            row /= peak
-        prefix[i + 1] = row
-    suffix = np.zeros((m + 1, kmax + 1))
-    suffix[m, 0] = 1.0
-    for i in range(m - 1, -1, -1):
-        row = suffix[i + 1].copy()
-        row[1:] += r[i] * suffix[i + 1][:-1]
-        peak = row.max()
-        if peak > _RESCALE_THRESHOLD:
-            row /= peak
-        suffix[i] = row
-    return prefix, suffix
+    terms = np.empty(min(n, kmax) + 1)
+    terms[0] = t = 1.0
+    for k in range(1, len(terms)):
+        t = t * r * (n - k + 1) / k
+        if t > _RESCALE_THRESHOLD:
+            terms[:k] /= t
+            t = 1.0
+        terms[k] = t
+    return terms
+
+
+def _times(row: np.ndarray, factor: np.ndarray) -> np.ndarray:
+    """Polynomial product, truncated to the degrees of ``row``."""
+    return _rescaled(np.convolve(row, factor)[:len(row)])
+
+
+def _suffix_table(classes: _LoadClasses, r: Sequence[float], kmax: int) -> np.ndarray:
+    """Row c: product of the binomial factors of classes c.. (row 0 is e_k(r))."""
+    table = np.zeros((len(r) + 1, kmax + 1))
+    table[-1, 0] = 1.0
+    for c in range(len(r) - 1, -1, -1):
+        table[c] = _times(table[c + 1], _binomial_factor(classes.counts[c], r[c], kmax))
+    return table
 
 
 def _validated(loads: LoadVector | Sequence[float], w: int) -> tuple[tuple[float, ...], float]:
@@ -139,62 +189,73 @@ def _validated(loads: LoadVector | Sequence[float], w: int) -> tuple[tuple[float
     return a, offered
 
 
-def engset_lcc(loads: LoadVector | Sequence[float], w: int) -> BlockingMetrics:
-    """Lost-calls-cleared metrics from the truncated product form.
+def _lcc_metrics(classes: _LoadClasses, w: int) -> BlockingMetrics:
+    """Lost-calls-cleared metrics, one leave-one-out per load class."""
+    kmax = min(w, len(classes.members))
+    r = offered_ratios(classes.loads)
+    suffix = _suffix_table(classes, r, kmax)
+    full = suffix[0]
+    time_c = _at(full, w) / float(full.sum())
 
-    time congestion  = e_W / sum_{k<=W} e_k
-    per-source call  = e_W(r w/o i) / sum_{k<=W} e_k(r w/o i)
-    call congestion  = attempt-rate weighted blocking,
-                       sum_i lam_i P(i off, W busy) / sum_i lam_i P(i off)
-    per-source traffic = (A_i - P(i on)) / A_i
-                       = e_W(r w/o i) / (sum_{k<=W} e_k + r_i sum_{k<W} e_k)
-                       over the sums of r w/o i, free of the cancellation
-                       in the difference when the loss is small
-    traffic congestion = sum_i A_i * per-source traffic / sum A_i
-    """
-    a, offered = _validated(loads, w)
-    m = len(a)
-    r = np.array(offered_ratios(a))
-    kmax = min(w, m)
-    prefix, suffix = _esp_prefix_suffix(r, kmax)
-    full = prefix[m]
-    g = float(full.sum())
-    time_c = _at(full, w) / g
+    per_call, per_traffic, attempt_weights = [], [], []
+    prefix = np.zeros(kmax + 1)
+    prefix[0] = 1.0
+    for c, (a, rc, n) in enumerate(zip(classes.loads, r, classes.counts)):
+        # Leave-one-out polynomial prefix * rest; only three sums of its
+        # coefficients are needed, each a dot product of prefix with rest
+        # or its running sums. The common unknown scale cancels below.
+        rest = _times(suffix[c + 1], _binomial_factor(n - 1, rc, kmax))
+        partial = np.cumsum(rest)
+        gi = float(prefix @ partial[::-1])              # degrees 0..kmax
+        if w <= kmax:
+            hi = float(prefix[:w] @ partial[w - 1::-1])  # degrees 0..W-1
+            eiw = float(prefix @ rest[::-1])            # degree W = kmax
+        else:
+            hi, eiw = gi, 0.0
+        ratio = rc * hi / gi  # P(i on) / P(i off)
+        per_call.append(_snap01(eiw / gi))
+        attempt_weights.append(rc * (1.0 - ratio / (1.0 + ratio)))
+        per_traffic.append(eiw / (gi + rc * hi) if a > 0.0 else 0.0)
+        prefix = _times(prefix, _binomial_factor(n, rc, kmax))
 
-    per_call = [0.0] * m
-    per_traffic = [0.0] * m
-    off_prob = [0.0] * m
-    for i in range(m):
-        # e_k of the other M-1 sources, common unknown scale cancels below.
-        ei = np.convolve(prefix[i], suffix[i + 1])[:kmax + 1]
-        gi = float(ei.sum())
-        eiw = _at(ei, w)
-        hi = float(ei[:w].sum())  # degrees 0..W-1
-        ratio = r[i] * hi / gi    # P(i on) / P(i off)
-        per_call[i] = _snap01(eiw / gi)
-        off_prob[i] = 1.0 - ratio / (1.0 + ratio)
-        per_traffic[i] = eiw / (gi + r[i] * hi) if a[i] > 0.0 else 0.0
-
-    attempt_weights = [r[i] * off_prob[i] for i in range(m)]
-    call_c = (math.fsum(wgt * b for wgt, b in zip(attempt_weights, per_call))
-              / math.fsum(attempt_weights))
-    traffic_c = math.fsum(a[i] * per_traffic[i] for i in range(m)) / offered
+    call_c = (classes.total([wgt * b for wgt, b in zip(attempt_weights, per_call)])
+              / classes.total(attempt_weights))
+    traffic_c = (classes.total([a * t for a, t in zip(classes.loads, per_traffic)])
+                 / classes.total(classes.loads))
     return BlockingMetrics(
         time_congestion=_snap01(time_c),
         call_congestion=_snap01(call_c),
         traffic_congestion=_snap01(traffic_c),
-        per_source_call=tuple(per_call),
-        per_source_traffic=tuple(per_traffic),
+        per_source_call=classes.per_source(per_call),
+        per_source_traffic=classes.per_source(per_traffic),
     )
+
+
+def engset_lcc(loads: LoadVector | Sequence[float], w: int) -> BlockingMetrics:
+    """Lost-calls-cleared metrics from the truncated product form.
+
+    With e_k the ESP of the other M-1 sources when source i is removed:
+
+    time congestion  = e_W(r) / sum_{k<=W} e_k(r)
+    per-source call  = e_W / sum_{k<=W} e_k
+    call congestion  = attempt-rate weighted blocking,
+                       sum_i lam_i P(i off, W busy) / sum_i lam_i P(i off)
+    per-source traffic = (A_i - P(i on)) / A_i
+                       = e_W / (sum_{k<=W} e_k + r_i sum_{k<W} e_k),
+                       free of the cancellation in the difference when
+                       the loss is small
+    traffic congestion = sum_i A_i * per-source traffic / sum A_i
+    """
+    a, _ = _validated(loads, w)
+    return _lcc_metrics(_LoadClasses.of(a), w)
 
 
 def lcc_occupancy(loads: LoadVector | Sequence[float], w: int) -> OccupancyDistribution:
     """Distribution of the number of active sources under admission, k = 0..W."""
     a, _ = _validated(loads, w)
-    r = np.array(offered_ratios(a))
+    classes = _LoadClasses.of(a)
     kmax = min(w, len(a))
-    prefix, _ = _esp_prefix_suffix(r, kmax)
-    e = prefix[len(a)]
+    e = _suffix_table(classes, offered_ratios(classes.loads), kmax)[0]
     probs = np.zeros(w + 1)
     probs[:kmax + 1] = e / e.sum()
     return OccupancyDistribution(tuple(probs))
@@ -211,24 +272,37 @@ def _poisson_binomial_pmf(probs: Sequence[float]) -> np.ndarray:
     return pmf
 
 
-def _pmf_without(pmf: np.ndarray, p: float) -> np.ndarray:
-    """Remove one Bernoulli(p) factor from a Poisson binomial pmf.
+def _deflated_tails(pmf: np.ndarray, probs: np.ndarray, w: int) -> np.ndarray:
+    """P(N' >= w) for each p in ``probs``, N' being N with one Bernoulli(p) removed.
 
-    Deflation direction follows the stable branch: forward for p < 1/2,
-    backward otherwise.
+    Deflation follows the stable branch: forward for p < 1/2, backward
+    otherwise. Each branch is one pass over k with a vector of the
+    branch's probabilities; negative rounding residue is clipped out of
+    the tail sums.
     """
     n = len(pmf) - 1
-    q = np.zeros(n)
-    if p < 0.5:
-        c = 1.0 - p
-        q[0] = pmf[0] / c
-        for k in range(1, n):
-            q[k] = (pmf[k] - p * q[k - 1]) / c
-    else:
-        q[n - 1] = pmf[n] / p
-        for k in range(n - 1, 0, -1):
-            q[k - 1] = (pmf[k] - (1.0 - p) * q[k]) / p
-    return q.clip(min=0.0)
+    tails = np.zeros(len(probs))
+    forward = probs < 0.5
+
+    p = probs[forward]
+    c = 1.0 - p
+    q = np.zeros(len(p))  # q[k] = (pmf[k] - p q[k-1]) / c, k = 0..n-1
+    tail = np.zeros(len(p))
+    for k in range(n):
+        q = (pmf[k] - p * q) / c
+        if k >= w:
+            tail += np.maximum(q, 0.0)
+    tails[forward] = tail
+
+    p = probs[~forward]
+    c = 1.0 - p
+    q = np.zeros(len(p))  # q[k-1] = (pmf[k] - (1-p) q[k]) / p, k = n..w+1
+    tail = np.zeros(len(p))
+    for k in range(n, w, -1):
+        q = (pmf[k] - c * q) / p
+        tail += np.maximum(q, 0.0)
+    tails[~forward] = tail
+    return tails
 
 
 def engset_ofl(loads: LoadVector | Sequence[float], w: int) -> BlockingMetrics:
@@ -242,23 +316,23 @@ def engset_ofl(loads: LoadVector | Sequence[float], w: int) -> BlockingMetrics:
     """
     a, offered = _validated(loads, w)
     m = len(a)
+    classes = _LoadClasses.of(a)
     pmf = _poisson_binomial_pmf(a)
     time_c = float(pmf[w:].sum())
     ks = np.arange(m + 1)
     overflow = float(((ks - w).clip(min=0) * pmf).sum())
     traffic_c = overflow / offered
 
-    per_call = [0.0] * m
-    for i in range(m):
-        tail = _pmf_without(pmf, a[i])[w:]
-        per_call[i] = _snap01(float(tail.sum()))
-    call_c = math.fsum(a[i] * per_call[i] for i in range(m)) / offered
+    tails = _deflated_tails(pmf, np.array(classes.loads), w)
+    per_call = [_snap01(float(t)) for t in tails]
+    call_c = classes.total([x * b for x, b in zip(classes.loads, per_call)]) / offered
+    per_source = classes.per_source(per_call)
     return BlockingMetrics(
         time_congestion=_snap01(time_c),
         call_congestion=_snap01(call_c),
         traffic_congestion=_snap01(traffic_c),
-        per_source_call=tuple(per_call),
-        per_source_traffic=tuple(per_call),
+        per_source_call=per_source,
+        per_source_traffic=per_source,
     )
 
 
@@ -269,24 +343,12 @@ def ofl_occupancy(loads: LoadVector | Sequence[float]) -> OccupancyDistribution:
     return OccupancyDistribution(tuple(pmf / pmf.sum()))
 
 
-def _binomial_terms(n: int, r: float, kmax: int) -> np.ndarray:
-    """C(n, k) * r^k for k = 0..min(kmax, n), peak-rescaled like the esp table."""
-    terms = [1.0]
-    for k in range(1, min(kmax, n) + 1):
-        terms.append(terms[-1] * r * (n - k + 1) / k)
-    arr = np.array(terms)
-    peak = arr.max()
-    if peak > _RESCALE_THRESHOLD:
-        arr /= peak
-    return arr
-
-
 def engset_classical(s: int, per_source_load: float, w: int) -> BlockingMetrics:
     """Homogeneous loss system: S equal sources, truncated binomial occupancy.
 
-    Call congestion equals the time congestion of the system with one
-    source removed; traffic congestion takes engset_lcc's direct form on
-    the same reduced terms. Agrees with engset_lcc on S equal loads.
+    The one-class case of engset_lcc: call congestion equals the time
+    congestion of the system with one source removed, and traffic
+    congestion takes the same direct form on those reduced terms.
     """
     if s < 1:
         raise ValueError("S must be >= 1")
@@ -296,18 +358,4 @@ def engset_classical(s: int, per_source_load: float, w: int) -> BlockingMetrics:
         raise ValueError(f"per-source load {per_source_load!r} outside [0, 1)")
     if per_source_load == 0.0:
         raise ZeroTrafficError("congestion ratios undefined for zero offered traffic")
-    r = per_source_load / (1.0 - per_source_load)
-    terms = _binomial_terms(s, r, w)
-    g = float(terms.sum())
-    time_c = _at(terms, w) / g
-    reduced = _binomial_terms(s - 1, r, w)
-    reduced_g = float(reduced.sum())
-    call_c = _snap01(_at(reduced, w) / reduced_g)
-    traffic_c = _at(reduced, w) / (reduced_g + r * float(reduced[:w].sum()))
-    return BlockingMetrics(
-        time_congestion=_snap01(time_c),
-        call_congestion=call_c,
-        traffic_congestion=traffic_c,
-        per_source_call=(call_c,) * s,
-        per_source_traffic=(traffic_c,) * s,
-    )
+    return _lcc_metrics(_LoadClasses((per_source_load,), (s,), (0,) * s), w)

@@ -20,13 +20,22 @@ import dataclasses
 import io
 import math
 from dataclasses import dataclass, field
+from typing import Callable
 
 from .engset import BlockingMetrics, engset_classical, engset_lcc, engset_ofl
 from .errors import InfeasibleTuiError
-from .sim import SimResult, SimSpec, simulate
-from .traffic import make_load_vector, min_feasible_tui
+from .sim import SimSpec, simulate
+from .traffic import LoadVector, make_load_vector, min_feasible_tui
 
-MODELS = ("lcc", "ofl", "classical", "sim-cleared", "sim-held")
+# Analytic models by name, each fn(loads, w). The solvers are looked up in
+# this module when called, so a wrapper installed on these names (as
+# perfbench's traced runs do) sees every call the sweep and the CLI make.
+ANALYTIC_MODELS: dict[str, Callable[[LoadVector, int], BlockingMetrics]] = {
+    "lcc": lambda loads, w: engset_lcc(loads, w),
+    "ofl": lambda loads, w: engset_ofl(loads, w),
+    "classical": lambda loads, w: engset_classical(len(loads), loads.total / len(loads), w),
+}
+MODELS = (*ANALYTIC_MODELS, "sim-cleared", "sim-held")
 METRICS = ("time", "call", "traffic")
 CSV_HEADER = "name,M,W,A,tui,model,metric,value,ci_half_width,status,note"
 DEFAULT_TUI_STEP = 0.05
@@ -111,35 +120,19 @@ def default_tui_grid(m: int, total_load: float, step: float = DEFAULT_TUI_STEP) 
     return tuple(sorted(set(ts)))
 
 
-def _sim_result_values(res: SimResult) -> dict[str, tuple[float, float | None]]:
-    return {
-        "time": (res.time_congestion.value, res.time_congestion.half_width),
-        "call": (res.call_congestion.value, res.call_congestion.half_width),
-        "traffic": (res.traffic_congestion.value, res.traffic_congestion.half_width),
-    }
-
-
-def _metrics_values(metrics: BlockingMetrics) -> dict[str, tuple[float, float | None]]:
-    return {
-        "time": (metrics.time_congestion, None),
-        "call": (metrics.call_congestion, None),
-        "traffic": (metrics.traffic_congestion, None),
-    }
-
-
-def _evaluate(model: str, loads, m: int, w: int, total: float,
+def _evaluate(model: str, loads: LoadVector, w: int,
               sim: SimSettings) -> dict[str, tuple[float, float | None]]:
-    if model == "lcc":
-        return _metrics_values(engset_lcc(loads, w))
-    if model == "ofl":
-        return _metrics_values(engset_ofl(loads, w))
-    if model == "classical":
-        return _metrics_values(engset_classical(m, total / m, w))
+    """(value, CI half-width) per metric; analytic models have no half-width."""
+    if model in ANALYTIC_MODELS:
+        metrics = ANALYTIC_MODELS[model](loads, w)
+        return {metric: (getattr(metrics, f"{metric}_congestion"), None) for metric in METRICS}
     mode = "cleared" if model == "sim-cleared" else "held"
     spec = SimSpec(loads=loads, w=w, mode=mode, horizon=sim.horizon,
                    warmup=sim.warmup, replications=sim.replications,
                    base_seed=sim.base_seed)
-    return _sim_result_values(simulate(spec))
+    res = simulate(spec)
+    estimates = {metric: getattr(res, f"{metric}_congestion") for metric in METRICS}
+    return {metric: (est.value, est.half_width) for metric, est in estimates.items()}
 
 
 def run_sweep(spec: SweepSpec) -> list[SweepRow]:
@@ -173,7 +166,7 @@ def run_sweep(spec: SweepSpec) -> list[SweepRow]:
                                              "infeasible", note))
                 continue
             for model in spec.models:
-                values = _evaluate(model, loads, spec.m, w, total, spec.sim)
+                values = _evaluate(model, loads, w, spec.sim)
                 for metric in METRICS:
                     value, hw = values[metric]
                     rows.append(SweepRow(spec.name, spec.m, w, spec.per_wavelength_load,

@@ -65,33 +65,6 @@ def as_load_vector(loads: "LoadVector | Iterable[float]") -> LoadVector:
     return LoadVector(tuple(loads))
 
 
-@dataclass(frozen=True)
-class SystemConfig:
-    """Static description of the tagged output link.
-
-    M input channels contend for W interchangeable wavelengths. F is the
-    fibre count, informational only: with full wavelength conversion the
-    channel count is M = F * W, without it M = F. All solvers take M and W
-    directly; this type only checks consistency.
-    """
-
-    m: int
-    w: int
-    f: int = 1
-    wavelength_conversion: bool = False
-    mu: float = 1.0
-
-    def __post_init__(self):
-        if self.m < 1 or self.w < 1 or self.f < 1:
-            raise ValueError("M, W and F must all be >= 1")
-        if self.mu <= 0 or not math.isfinite(self.mu):
-            raise ValueError("mu must be a positive real")
-        expected = self.f * self.w if self.wavelength_conversion else self.f
-        if self.m != expected:
-            kind = "F*W (full conversion)" if self.wavelength_conversion else "F"
-            raise ValueError(f"inconsistent config: M={self.m} but {kind}={expected}")
-
-
 def tui(loads: LoadVector | Sequence[float]) -> float:
     """Uniformity index (sum A)^2 / (M * sum A^2), in [1/M, 1]."""
     a = as_load_vector(loads).loads

@@ -3,6 +3,7 @@
 import math
 import random
 
+import mpmath
 import pytest
 
 from opsloss import STATE_CAP, StateSpaceError, ZeroTrafficError, ctmc_oracle, engset_lcc
@@ -75,3 +76,18 @@ def test_balance_residual_small_on_larger_instance():
     sol, _ = ctmc_oracle(loads, 4)
     assert sol.balance_residual < 1e-9
     assert math.fsum(sol.stationary) == pytest.approx(1.0, abs=1e-10)
+
+
+def test_deep_tail_traffic_congestion_matches_mpmath():
+    # Ten loads of 0.02 on W=5 lose 3.6e-7 of their traffic. The oracle reads
+    # each source's loss as P(i off, W busy), free of the cancellation in
+    # (A_i - P(i on)) / A_i; equal loads make every source lose the aggregate.
+    with mpmath.workdps(60):
+        a = mpmath.mpf(0.02)
+        e = [mpmath.binomial(10, k) * (a / (1 - a)) ** k for k in range(6)]
+        mean = mpmath.fsum(k * ek for k, ek in enumerate(e)) / mpmath.fsum(e)
+        ref = float(1 - mean / (10 * a))
+    assert 3.6e-7 < ref < 3.7e-7
+    _, metrics = ctmc_oracle([0.02] * 10, 5)
+    assert metrics.traffic_congestion == pytest.approx(ref, rel=1e-12, abs=0.0)
+    assert metrics.per_source_traffic == pytest.approx((ref,) * 10, rel=1e-12, abs=0.0)

@@ -2,17 +2,46 @@
 
 import math
 import random
+import tracemalloc
 
 import mpmath
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from opsloss import (ZeroTrafficError, engset_classical, engset_lcc, engset_ofl,
-                     lcc_occupancy, make_load_vector, ofl_occupancy)
+from opsloss import (ZeroTrafficError, ctmc_oracle, engset_classical, engset_lcc,
+                     engset_ofl, lcc_occupancy, make_load_vector, ofl_occupancy)
 
 loads_strategy = st.lists(st.floats(0.0, 0.95), min_size=1, max_size=8).filter(
     lambda xs: sum(xs) > 0)
+# Up to nine sources drawing their loads from at most three distinct values.
+pooled_loads_strategy = st.lists(st.floats(0.0, 0.95), min_size=1, max_size=3).flatmap(
+    lambda pool: st.lists(st.sampled_from(pool), min_size=1, max_size=9)).filter(
+    lambda xs: sum(xs) > 0)
+
+
+def brute_force_ofl(loads, w):
+    """Time congestion, overflow traffic congestion and per-source blocking
+    of the overflow model, by enumerating every on/off pattern."""
+    n = len(loads)
+    time_c = overflow = 0.0
+    blocked = [0.0] * n
+    for mask in range(2 ** n):
+        prob = 1.0
+        active = 0
+        for i in range(n):
+            if mask >> i & 1:
+                prob *= loads[i]
+                active += 1
+            else:
+                prob *= 1.0 - loads[i]
+        if active >= w:
+            time_c += prob
+        overflow += max(0, active - w) * prob
+        for i in range(n):
+            if not (mask >> i & 1) and active >= w:
+                blocked[i] += prob / (1.0 - loads[i])
+    return time_c, overflow / sum(loads), blocked
 
 
 class TestEngsetLcc:
@@ -145,26 +174,10 @@ class TestEngsetOfl:
             if sum(loads) == 0:
                 continue
             w = rng.randint(1, n)
-            expect_time = expect_overflow = 0.0
-            expect_block = [0.0] * n
-            for mask in range(2 ** n):
-                prob = 1.0
-                active = 0
-                for i in range(n):
-                    if mask >> i & 1:
-                        prob *= loads[i]
-                        active += 1
-                    else:
-                        prob *= 1.0 - loads[i]
-                if active >= w:
-                    expect_time += prob
-                expect_overflow += max(0, active - w) * prob
-                for i in range(n):
-                    if not (mask >> i & 1) and active >= w:
-                        expect_block[i] += prob / (1.0 - loads[i])
+            expect_time, expect_traffic, expect_block = brute_force_ofl(loads, w)
             m = engset_ofl(loads, w)
             assert m.time_congestion == pytest.approx(expect_time, abs=1e-10)
-            assert m.traffic_congestion == pytest.approx(expect_overflow / sum(loads), abs=1e-10)
+            assert m.traffic_congestion == pytest.approx(expect_traffic, abs=1e-10)
             assert m.per_source_call == pytest.approx(tuple(expect_block), abs=1e-10)
 
     @given(loads_strategy)
@@ -227,6 +240,47 @@ class TestEngsetClassical:
             engset_classical(2, 0.0, 1)
         with pytest.raises(ValueError):
             engset_classical(0, 0.4, 1)
+
+
+class TestLoadClasses:
+    """Sources are grouped by load; repeated loads take the same code path."""
+
+    @given(pooled_loads_strategy, st.integers(1, 10))
+    @settings(max_examples=60, deadline=None)
+    def test_repeated_loads_match_oracle_and_enumeration(self, loads, w):
+        lcc = engset_lcc(loads, w)
+        _, oracle = ctmc_oracle(loads, w)
+        ofl = engset_ofl(loads, w)
+        time_c, traffic_c, blocked = brute_force_ofl(loads, w)
+        pairs = [(lcc.time_congestion, oracle.time_congestion),
+                 (lcc.call_congestion, oracle.call_congestion),
+                 (lcc.traffic_congestion, oracle.traffic_congestion),
+                 *zip(lcc.per_source_call, oracle.per_source_call),
+                 *zip(lcc.per_source_traffic, oracle.per_source_traffic),
+                 (ofl.time_congestion, time_c),
+                 (ofl.traffic_congestion, traffic_c),
+                 *zip(ofl.per_source_call, blocked)]
+        for got, want in pairs:
+            assert got == pytest.approx(want, rel=1e-9)
+        for metrics in (lcc, ofl):
+            for i, x in enumerate(loads):
+                j = loads.index(x)  # the first source of i's class
+                assert metrics.per_source_call[i] == metrics.per_source_call[j]
+                assert metrics.per_source_traffic[i] == metrics.per_source_traffic[j]
+
+    @pytest.mark.parametrize("solver", [engset_lcc, engset_ofl])
+    def test_one_hot_memory_is_per_class(self, solver):
+        # M=4096, W=512 one-hot loads: two classes. One (M+1) x (W+1) table
+        # alone would take 16.8 MB.
+        loads = make_load_vector(4096, 460.8, 0.99)
+        assert len(set(loads)) == 2
+        tracemalloc.start()
+        try:
+            solver(loads, 512)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2_000_000
 
 
 class TestOccupancy:

@@ -1,6 +1,7 @@
 """Sweep engine: grids, presets, CSV contract, baseline-error analysis."""
 
 import dataclasses
+import hashlib
 
 import pytest
 
@@ -213,3 +214,21 @@ class TestPresets:
         assert fig6.tui_values == (0.6, 1.0)
         fig5b = make_preset("fig5b")
         assert (fig5b.m, fig5b.w_values, fig5b.per_wavelength_load) == (16, (4,), 0.5)
+
+
+# SHA-256 of the analytic CSV of each preset, recorded before the analytic
+# core was grouped by load class: any change to a printed digit shows here.
+GOLDEN_ANALYTIC_CSV = {
+    "fig3": "24da4fe45095d6db4c4cbe0f03466065f185bbb299db28b79523b8a0e8fedc40",
+    "fig4": "b7ecb013ab9bdc55821dd2ad6f96106b82ab775b8070afe892fb0b3bbc14dd6c",
+    "fig5a": "8d47071cc5f4eb58082000183267eafce505ef04b15789c94397001b88fd4885",
+    "fig5b": "f394c25c5d0cd380962f46bdf160833f1169600ac6a3e38af8a48d8c1b6b710e",
+    "fig6": "5ea0d28b3c408c16e0e093b891850ef05897a28b51ca5c24e4b02537ead0344c",
+}
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_ANALYTIC_CSV))
+def test_analytic_csv_bytes_are_pinned(name):
+    spec = make_preset(name, models=("lcc", "ofl", "classical"))
+    text = rows_to_csv(run_sweep(spec))
+    assert hashlib.sha256(text.encode()).hexdigest() == GOLDEN_ANALYTIC_CSV[name]

@@ -6,8 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from opsloss import (InfeasibleTuiError, LoadVector, SystemConfig, ZeroTrafficError,
-                     arrival_intensities, make_load_vector, min_feasible_tui, tui)
+from opsloss import (InfeasibleTuiError, LoadVector, ZeroTrafficError, arrival_intensities,
+                     make_load_vector, min_feasible_tui, tui)
 
 
 def closed_form_hot_weight(m: int, target: float) -> float:
@@ -34,20 +34,6 @@ class TestLoadVector:
 
     def test_zero_loads_are_legal(self):
         LoadVector((0.0, 0.0))  # only tui() rejects the all-zero vector
-
-
-class TestSystemConfig:
-    def test_conversion_consistency(self):
-        SystemConfig(m=8, w=4, f=2, wavelength_conversion=True)
-        SystemConfig(m=2, w=4, f=2, wavelength_conversion=False)
-        with pytest.raises(ValueError):
-            SystemConfig(m=7, w=4, f=2, wavelength_conversion=True)
-        with pytest.raises(ValueError):
-            SystemConfig(m=3, w=4, f=2, wavelength_conversion=False)
-
-    def test_mu_positive(self):
-        with pytest.raises(ValueError):
-            SystemConfig(m=1, w=1, mu=0.0)
 
 
 class TestTui:
