@@ -9,7 +9,8 @@ horizon, so pass --analytic-only for a quick pass or shrink --horizon and
 import argparse
 import pathlib
 
-from opsloss import SimSettings, make_preset, preset_names, rows_to_csv, run_sweep
+from opsloss import (ANALYTIC_MODELS, SimSettings, make_preset, preset_names, rows_to_csv,
+                     run_sweep)
 
 
 def main() -> None:
@@ -27,12 +28,10 @@ def main() -> None:
     outdir.mkdir(parents=True, exist_ok=True)
     sim = SimSettings(horizon=args.horizon, replications=args.reps, base_seed=args.seed)
     for name in args.presets:
-        spec = make_preset(name, sim=sim)
+        models = make_preset(name).models
         if args.analytic_only:
-            import dataclasses
-            spec = dataclasses.replace(
-                spec, models=tuple(m for m in spec.models if not m.startswith("sim-")))
-        rows = run_sweep(spec)
+            models = tuple(m for m in models if m in ANALYTIC_MODELS)
+        rows = run_sweep(make_preset(name, models=models, sim=sim))
         path = outdir / f"{name}.csv"
         path.write_text(rows_to_csv(rows), encoding="utf-8")
         ok = sum(1 for r in rows if r.status == "ok")

@@ -12,16 +12,16 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import math
 import os
 import sys
 from typing import Callable
 
 from .ctmc import ctmc_oracle
-from .engset import BlockingMetrics
 from .errors import EstimationError
-from .sim import MODES, SimSpec, simulate
-from .sweep import (ANALYTIC_MODELS, CSV_HEADER, METRICS, MODELS, SimSettings, SweepRow,
-                    SweepSpec, format_row, make_preset, preset_names, rows_to_csv, run_sweep)
+from .sim import MODES
+from .sweep import (ANALYTIC_MODELS, MODELS, SimSettings, SweepSpec, evaluate, make_preset,
+                    metric_rows, preset_names, rows_to_csv, run_sweep)
 from .traffic import LoadVector, make_load_vector, tui as compute_tui
 
 # The sweep's analytic models plus the brute-force oracle.
@@ -42,6 +42,8 @@ def _parse_str_list(text: str) -> tuple[str, ...]:
 
 def _parse_seed(text: str) -> int:
     value = float(text)  # scientific notation allowed
+    if not math.isfinite(value):
+        raise ValueError(f"seed must be a finite integer, got {text!r}")
     seed = int(value)
     if seed != value:
         raise ValueError(f"seed must be an integer, got {text!r}")
@@ -78,21 +80,6 @@ def _apply_config(args: argparse.Namespace, converters: dict[str, Callable]) -> 
             setattr(args, key, converters[key](raw))
 
 
-def _print_csv_rows(rows: list[SweepRow]) -> None:
-    print(CSV_HEADER)
-    for row in rows:
-        print(",".join(format_row(row)))
-
-
-def _metric_rows(name: str, loads: LoadVector, w: int, model: str,
-                 metrics: BlockingMetrics) -> list[SweepRow]:
-    a = loads.total / w
-    t = compute_tui(loads)
-    return [SweepRow(name, len(loads), w, a, t, model, metric,
-                     getattr(metrics, f"{metric}_congestion"), None)
-            for metric in METRICS]
-
-
 # ----------------------------------------------------------------------
 # Subcommands
 
@@ -126,7 +113,8 @@ def cmd_analyze(args: argparse.Namespace) -> int:
         raise ValueError(f"model must be one of {tuple(ANALYZE_MODELS)}, got {args.model!r}")
     loads = LoadVector(args.loads)
     metrics = ANALYZE_MODELS[args.model](loads, args.w)
-    _print_csv_rows(_metric_rows("analyze", loads, args.w, args.model, metrics))
+    sys.stdout.write(rows_to_csv(metric_rows("analyze", len(loads), args.w, loads.total / args.w,
+                                             compute_tui(loads), args.model, metrics)))
     return 0
 
 
@@ -145,27 +133,15 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     seed = args.seed if args.seed is not None else _default_seed()
     if reps < 2:
         raise ValueError("confidence intervals need at least 2 replications")
-    spec = SimSpec(loads=LoadVector(args.loads), w=args.w, mode=args.mode,
-                   horizon=horizon, warmup=args.warmup, replications=reps,
-                   base_seed=seed)
-    res = simulate(spec)
-    loads = spec.loads
-    model = f"sim-{spec.mode}"
-    a = loads.total / spec.w
-    t = compute_tui(loads)
-    rows = []
-    for metric in METRICS:
-        est = getattr(res, f"{metric}_congestion")
-        rows.append(SweepRow("simulate", len(loads), spec.w, a, t, model, metric,
-                             est.value, est.half_width))
+    loads = LoadVector(args.loads)
+    model = f"sim-{args.mode}"
+    res = evaluate(model, loads, args.w, SimSettings(horizon=horizon, warmup=args.warmup,
+                                                     replications=reps, base_seed=seed))
+    point = ("simulate", len(loads), args.w, loads.total / args.w, compute_tui(loads), model)
+    rows = metric_rows(*point, res)
     for i in range(len(loads)):
-        rows.append(SweepRow("simulate", len(loads), spec.w, a, t, model, "call",
-                             res.per_source_call[i].value,
-                             res.per_source_call[i].half_width, note=f"source {i}"))
-        rows.append(SweepRow("simulate", len(loads), spec.w, a, t, model, "traffic",
-                             res.per_source_traffic[i].value,
-                             res.per_source_traffic[i].half_width, note=f"source {i}"))
-    _print_csv_rows(rows)
+        rows += metric_rows(*point, res, source=i)
+    sys.stdout.write(rows_to_csv(rows))
     return 0
 
 

@@ -18,6 +18,14 @@ Two source behaviours, one per analytic model:
     toward call congestion and away from the overflow law this mode
     realizes, so it is not used.
 
+Both modes run one event loop over one state, N: the sources holding a
+channel (cleared, so N <= W) or transmitting (held). The loop integrates
+N, min(N, W) and the time with N >= W, and keeps one per-source ledger of
+carried time, the lengths of unblocked attempts. An attempt is blocked
+when N >= W, and that is the only place the modes differ: a blocked
+cleared attempt schedules a retry after a fresh idle period, a blocked
+held attempt transmits anyway and its packet is lost.
+
 Time is in units of the mean packet length (departure intensity 1).
 Every attempt draws its packet length, so the per-source offered-time
 ledger counts blocked packets at full length in both modes. Statistics
@@ -144,11 +152,12 @@ def _source_rngs(spec: SimSpec, replication: int) -> list[random.Random]:
             for i in range(len(spec.loads))]
 
 
-def _replicate_cleared(spec: SimSpec, replication: int):
-    """Blocked-call-cleared dynamics; admitted packets occupy a channel."""
+def _replicate(spec: SimSpec, replication: int):
+    """Counters of one replication; the modes part only at a blocked attempt."""
     a = spec.loads.loads
     m, w = len(a), spec.w
     horizon, warmup = spec.horizon, spec.warmup
+    held = spec.mode == "held"
     lam = arrival_intensities(a)
     rngs = _source_rngs(spec, replication)
 
@@ -159,9 +168,11 @@ def _replicate_cleared(spec: SimSpec, replication: int):
             heappush(heap, (rngs[i].expovariate(lam[i]), seq, _ATTEMPT, i))
             seq += 1
 
-    busy = 0
+    n = 0
     prev = 0.0
-    all_busy_time = 0.0
+    all_busy_time = 0.0   # time with N >= W
+    carried_int = 0.0     # integral of min(N, W)
+    offered_int = 0.0     # integral of N
     attempts = [0] * m
     blocked = [0] * m
     offered = [0.0] * m
@@ -171,108 +182,48 @@ def _replicate_cleared(spec: SimSpec, replication: int):
         t, _, kind, i = heappop(heap)
         if t >= horizon:
             break
-        if busy == w and t > warmup:
-            all_busy_time += t - (prev if prev > warmup else warmup)
-        prev = t
-        rng = rngs[i]
-        if kind == _ATTEMPT:
-            length = rng.expovariate(1.0)
-            counted = t >= warmup
-            if counted:
-                attempts[i] += 1
-                offered[i] += length
-            if busy < w:
-                busy += 1
-                if counted:
-                    carried[i] += length
-                heappush(heap, (t + length, seq, _END, i))
-            else:
-                if counted:
-                    blocked[i] += 1
-                heappush(heap, (t + rng.expovariate(lam[i]), seq, _ATTEMPT, i))
-        else:
-            busy -= 1
-            heappush(heap, (t + rng.expovariate(lam[i]), seq, _ATTEMPT, i))
-        seq += 1
-    if busy == w and horizon > max(prev, warmup):
-        all_busy_time += horizon - max(prev, warmup)
-
-    return attempts, blocked, offered, carried, all_busy_time, None, None
-
-
-def _replicate_held(spec: SimSpec, replication: int):
-    """Free-running sources; overflow above W channels is lost.
-
-    Carried traffic integrates min(N, W); an attempt is blocked (its
-    packet lost whole, for the per-source ledger) when the other
-    transmitting sources already cover all W channels.
-    """
-    a = spec.loads.loads
-    m, w = len(a), spec.w
-    horizon, warmup = spec.horizon, spec.warmup
-    lam = arrival_intensities(a)
-    rngs = _source_rngs(spec, replication)
-
-    heap: list[tuple[float, int, int, int]] = []
-    seq = 0
-    for i in range(m):
-        if lam[i] > 0.0:
-            heappush(heap, (rngs[i].expovariate(lam[i]), seq, _ATTEMPT, i))
-            seq += 1
-
-    n_on = 0
-    prev = 0.0
-    all_busy_time = 0.0   # time with N >= W
-    carried_int = 0.0     # integral of min(N, W)
-    offered_int = 0.0     # integral of N
-    attempts = [0] * m
-    blocked = [0] * m
-    offered = [0.0] * m
-    lost = [0.0] * m
-
-    while heap:
-        t, _, kind, i = heappop(heap)
-        if t >= horizon:
-            break
-        if n_on and t > warmup:
+        if n and t > warmup:
             span = t - (prev if prev > warmup else warmup)
-            offered_int += n_on * span
-            carried_int += min(n_on, w) * span
-            if n_on >= w:
+            offered_int += n * span
+            if n < w:  # a branch, not min(n, w): this runs on every event
+                carried_int += n * span
+            else:
+                carried_int += w * span
                 all_busy_time += span
         prev = t
         rng = rngs[i]
         if kind == _ATTEMPT:
             length = rng.expovariate(1.0)
+            is_blocked = n >= w
             if t >= warmup:
                 attempts[i] += 1
                 offered[i] += length
-                if n_on >= w:
+                if is_blocked:
                     blocked[i] += 1
-                    lost[i] += length
-            n_on += 1
-            heappush(heap, (t + length, seq, _END, i))
+                else:
+                    carried[i] += length
+            if is_blocked and not held:
+                heappush(heap, (t + rng.expovariate(lam[i]), seq, _ATTEMPT, i))
+            else:
+                n += 1
+                heappush(heap, (t + length, seq, _END, i))
         else:
-            n_on -= 1
+            n -= 1
             heappush(heap, (t + rng.expovariate(lam[i]), seq, _ATTEMPT, i))
         seq += 1
-    if n_on and horizon > max(prev, warmup):
+    if n and horizon > max(prev, warmup):
         span = horizon - max(prev, warmup)
-        offered_int += n_on * span
-        carried_int += min(n_on, w) * span
-        if n_on >= w:
+        offered_int += n * span
+        carried_int += min(n, w) * span
+        if n >= w:
             all_busy_time += span
 
-    carried = [offered[i] - lost[i] for i in range(m)]
     return attempts, blocked, offered, carried, all_busy_time, carried_int, offered_int
 
 
 def _run_replication(spec: SimSpec, replication: int) -> ReplicationStats:
-    if spec.mode == "cleared":
-        result = _replicate_cleared(spec, replication)
-    else:
-        result = _replicate_held(spec, replication)
-    attempts, blocked, offered, carried, all_busy_time, carried_int, offered_int = result
+    (attempts, blocked, offered, carried, all_busy_time,
+     carried_int, offered_int) = _replicate(spec, replication)
 
     a = spec.loads.loads
     m = len(a)

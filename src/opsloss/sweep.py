@@ -24,7 +24,7 @@ from typing import Callable
 
 from .engset import BlockingMetrics, engset_classical, engset_lcc, engset_ofl
 from .errors import InfeasibleTuiError
-from .sim import SimSpec, simulate
+from .sim import MODES, Estimate, SimResult, SimSpec, simulate
 from .traffic import LoadVector, make_load_vector, min_feasible_tui
 
 # Analytic models by name, each fn(loads, w). The solvers are looked up in
@@ -35,7 +35,7 @@ ANALYTIC_MODELS: dict[str, Callable[[LoadVector, int], BlockingMetrics]] = {
     "ofl": lambda loads, w: engset_ofl(loads, w),
     "classical": lambda loads, w: engset_classical(len(loads), loads.total / len(loads), w),
 }
-MODELS = (*ANALYTIC_MODELS, "sim-cleared", "sim-held")
+MODELS = (*ANALYTIC_MODELS, *(f"sim-{mode}" for mode in MODES))
 METRICS = ("time", "call", "traffic")
 CSV_HEADER = "name,M,W,A,tui,model,metric,value,ci_half_width,status,note"
 DEFAULT_TUI_STEP = 0.05
@@ -68,8 +68,8 @@ class SweepSpec:
             raise ValueError("M must be >= 1")
         if not self.w_values or any(w < 1 for w in self.w_values):
             raise ValueError("w_values must be nonempty positive integers")
-        if self.per_wavelength_load <= 0:
-            raise ValueError("per-wavelength load must be positive")
+        if not (self.per_wavelength_load > 0 and math.isfinite(self.per_wavelength_load)):
+            raise ValueError("per-wavelength load must be positive and finite")
         unknown = [mdl for mdl in self.models if mdl not in MODELS]
         if unknown:
             raise ValueError(f"unknown models {unknown}; valid: {MODELS}")
@@ -120,33 +120,52 @@ def default_tui_grid(m: int, total_load: float, step: float = DEFAULT_TUI_STEP) 
     return tuple(sorted(set(ts)))
 
 
-def _evaluate(model: str, loads: LoadVector, w: int,
-              sim: SimSettings) -> dict[str, tuple[float, float | None]]:
-    """(value, CI half-width) per metric; analytic models have no half-width."""
+def evaluate(model: str, loads: LoadVector, w: int,
+             sim: SimSettings) -> BlockingMetrics | SimResult:
+    """One model at one point: analytic metrics, or a ``sim-<mode>`` simulation."""
     if model in ANALYTIC_MODELS:
-        metrics = ANALYTIC_MODELS[model](loads, w)
-        return {metric: (getattr(metrics, f"{metric}_congestion"), None) for metric in METRICS}
-    mode = "cleared" if model == "sim-cleared" else "held"
-    spec = SimSpec(loads=loads, w=w, mode=mode, horizon=sim.horizon,
-                   warmup=sim.warmup, replications=sim.replications,
-                   base_seed=sim.base_seed)
-    res = simulate(spec)
-    estimates = {metric: getattr(res, f"{metric}_congestion") for metric in METRICS}
-    return {metric: (est.value, est.half_width) for metric, est in estimates.items()}
+        return ANALYTIC_MODELS[model](loads, w)
+    return simulate(SimSpec(loads=loads, w=w, mode=model.removeprefix("sim-"),
+                            horizon=sim.horizon, warmup=sim.warmup,
+                            replications=sim.replications, base_seed=sim.base_seed))
+
+
+def metric_rows(name: str, m: int, w: int, a: float, tui: float | None, model: str,
+                result: BlockingMetrics | SimResult,
+                source: int | None = None) -> list[SweepRow]:
+    """One row per metric of ``result``; with ``source``, that source's call
+    and traffic congestion, noted ``source <i>``. A float value has no
+    half-width; an `Estimate` brings its own."""
+    if source is None:
+        values = [(metric, getattr(result, f"{metric}_congestion")) for metric in METRICS]
+        note = ""
+    else:
+        values = [("call", result.per_source_call[source]),
+                  ("traffic", result.per_source_traffic[source])]
+        note = f"source {source}"
+    rows = []
+    for metric, value in values:
+        if isinstance(value, Estimate):
+            value, half_width = value.value, value.half_width
+        else:
+            half_width = None
+        rows.append(SweepRow(name, m, w, a, tui, model, metric, value, half_width, note=note))
+    return rows
 
 
 def run_sweep(spec: SweepSpec) -> list[SweepRow]:
     """Evaluate the full grid x models x metrics product, in grid order."""
     rows: list[SweepRow] = []
+
+    def infeasible(w: int, tui: float | None, note: str) -> None:
+        rows.extend(SweepRow(spec.name, spec.m, w, spec.per_wavelength_load, tui, model,
+                             metric, None, None, "infeasible", note)
+                    for model in spec.models for metric in METRICS)
+
     for w in spec.w_values:
         total = spec.per_wavelength_load * w
-
         if total >= spec.m:
-            for model in spec.models:
-                for metric in METRICS:
-                    rows.append(SweepRow(spec.name, spec.m, w, spec.per_wavelength_load,
-                                         None, model, metric, None, None, "infeasible",
-                                         f"total load {total:.9g} >= M; no valid loads"))
+            infeasible(w, None, f"total load {total:.9g} >= M; no valid loads")
             continue
 
         if spec.tui_values is not None:
@@ -157,20 +176,13 @@ def run_sweep(spec: SweepSpec) -> list[SweepRow]:
             try:
                 loads = make_load_vector(spec.m, total, target)
             except InfeasibleTuiError as exc:
-                note = (f"min feasible tui {exc.min_feasible_tui:.9g} exclusive"
-                        if exc.min_feasible_tui is not None else "no feasible tui")
-                for model in spec.models:
-                    for metric in METRICS:
-                        rows.append(SweepRow(spec.name, spec.m, w, spec.per_wavelength_load,
-                                             target, model, metric, None, None,
-                                             "infeasible", note))
+                bound = exc.min_feasible_tui
+                infeasible(w, target, "no feasible tui" if bound is None
+                           else f"min feasible tui {bound:.9g} exclusive")
                 continue
             for model in spec.models:
-                values = _evaluate(model, loads, w, spec.sim)
-                for metric in METRICS:
-                    value, hw = values[metric]
-                    rows.append(SweepRow(spec.name, spec.m, w, spec.per_wavelength_load,
-                                         target, model, metric, value, hw))
+                rows.extend(metric_rows(spec.name, spec.m, w, spec.per_wavelength_load, target,
+                                        model, evaluate(model, loads, w, spec.sim)))
     return rows
 
 

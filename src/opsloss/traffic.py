@@ -111,6 +111,8 @@ def min_feasible_tui(m: int, total_load: float) -> float:
     """
     if m < 1:
         raise ValueError("M must be >= 1")
+    if not math.isfinite(total_load):
+        raise ValueError(f"total_load must be finite, got {total_load!r}")
     if total_load <= 0:
         raise ValueError("total_load must be positive")
     if total_load >= m:

@@ -126,6 +126,20 @@ class TestSimulateCommand:
         assert out_env == out_explicit
         assert out_env != out_default
 
+    @pytest.mark.parametrize("seed", ["1e400", "inf", "nan"])
+    def test_non_finite_seed_flag_is_usage_error(self, capsys, seed):
+        with pytest.raises(SystemExit) as exc:
+            main(["simulate", "--loads", "0.4", "--w", "1", "--mode", "held", "--seed", seed])
+        assert exc.value.code == 2
+        assert "--seed" in capsys.readouterr().err
+
+    def test_non_finite_env_seed_exits_2(self, capsys, monkeypatch):
+        monkeypatch.setenv("ENGSET_SEED", "1e400")
+        code, _, err = run_cli(capsys, "simulate", "--loads", "0.4", "--w", "1",
+                               "--mode", "held", "--reps", "2", "--horizon", "1e3")
+        assert code == 2
+        assert "seed must be a finite integer" in err
+
     def test_scientific_seed(self, capsys):
         code, _, _ = run_cli(capsys, "simulate", "--loads", "0.4", "--w", "1",
                              "--mode", "held", "--reps", "2", "--horizon", "1e3",
@@ -157,6 +171,19 @@ class TestSweepCommand:
         _, out_a, _ = run_cli(capsys, *argv)
         _, out_b, _ = run_cli(capsys, *argv)
         assert out_a == out_b
+
+    @pytest.mark.parametrize("load", ["nan", "inf"])
+    def test_non_finite_load_exits_2(self, capsys, load):
+        code, _, err = run_cli(capsys, "sweep", "--preset", "fig3", "--load", load)
+        assert code == 2
+        assert "per-wavelength load must be positive and finite" in err
+
+    def test_spec_file_nan_load_exits_2(self, capsys, tmp_path):
+        spec = tmp_path / "nan.sweep"
+        spec.write_text("m = 2\nw = 1\nload = nan\n")
+        code, _, err = run_cli(capsys, "sweep", "--spec", str(spec))
+        assert code == 2
+        assert "per-wavelength load" in err
 
     def test_spec_file(self, capsys, tmp_path):
         spec = tmp_path / "mini.sweep"

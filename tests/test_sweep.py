@@ -2,13 +2,15 @@
 
 import dataclasses
 import hashlib
+import math
 
 import pytest
 
-from opsloss import (SimSettings, SweepRow, SweepSpec, default_tui_grid,
+from opsloss import (Estimate, SimSettings, SimSpec, SweepRow, SweepSpec, default_tui_grid,
                      engset_classical, engset_lcc, make_load_vector, make_preset,
-                     preset_names, rows_from_csv, rows_to_csv, run_sweep,
+                     preset_names, rows_from_csv, rows_to_csv, run_sweep, simulate,
                      traditional_model_error, CSV_HEADER)
+from opsloss.cli import main
 
 FAST_SIM = SimSettings(horizon=2e3, warmup=2e2, replications=3, base_seed=1)
 
@@ -121,6 +123,11 @@ class TestRunSweep:
                     for t, models in sorted(by_tui.items())]
             assert all(g1 >= g2 - 1e-12 for (_, g1), (_, g2) in zip(gaps, gaps[1:]))
 
+    @pytest.mark.parametrize("load", [math.nan, math.inf, 0.0, -0.5])
+    def test_spec_rejects_non_finite_or_non_positive_load(self, load):
+        with pytest.raises(ValueError, match="per-wavelength load"):
+            SweepSpec(name="t", m=2, w_values=(1,), per_wavelength_load=load)
+
     def test_total_load_at_or_above_m_flags_whole_w(self):
         spec = SweepSpec(name="t", m=2, w_values=(4,), per_wavelength_load=0.5,
                          tui_values=(1.0,), models=("lcc",))
@@ -232,3 +239,59 @@ def test_analytic_csv_bytes_are_pinned(name):
     spec = make_preset(name, models=("lcc", "ofl", "classical"))
     text = rows_to_csv(run_sweep(spec))
     assert hashlib.sha256(text.encode()).hexdigest() == GOLDEN_ANALYTIC_CSV[name]
+
+
+# SHA-256 of simulator CSV on stdout, recorded before the two simulator
+# modes shared one event loop: a change to a random draw, its order or a
+# printed digit shows here.
+GOLDEN_SIMULATE_CSV = {
+    "cleared": "2574aeb03a36395f94fb9e92e6fa887871fb16fac05eceaa7bec1337fa0bb701",
+    "held": "04cd0d9983dd044b6d346553a89bee29c5be7c655b5eb72413346434174a40b1",
+}
+GOLDEN_SIM_SWEEP_CSV = {
+    "fig3": "e13796eae89121378ecd733236432ad36e2cb9bb35d4e8226104912806051309",
+    "fig4": "52ffb703ef8f859c9ff9d69dcfe33787f6754745c7c57858d77dd2bf2cc36ed0",
+}
+
+
+def cli_stdout_digest(capsys, *argv):
+    assert main(list(argv)) == 0
+    return hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
+
+
+@pytest.mark.parametrize("mode", sorted(GOLDEN_SIMULATE_CSV))
+def test_simulate_csv_bytes_are_pinned(capsys, mode):
+    digest = cli_stdout_digest(capsys, "simulate", "--loads", "0.05,0.3,0.7,0.2,0.9,0.1",
+                               "--w", "2", "--mode", mode, "--horizon", "5e3",
+                               "--reps", "5", "--seed", "11")
+    assert digest == GOLDEN_SIMULATE_CSV[mode]
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_SIM_SWEEP_CSV))
+def test_sim_sweep_csv_bytes_are_pinned(capsys, name):
+    digest = cli_stdout_digest(capsys, "sweep", "--preset", name,
+                               "--models", "lcc,ofl,sim-cleared,sim-held",
+                               "--horizon", "2e3", "--reps", "3", "--seed", "5")
+    assert digest == GOLDEN_SIM_SWEEP_CSV[name]
+
+
+def test_cleared_sim_result_is_pinned_to_full_precision():
+    res = simulate(SimSpec(loads=(0.6, 0.1, 0.3), w=1, mode="cleared", horizon=2e3,
+                           replications=3, base_seed=5))
+    assert res.time_congestion == Estimate(0.6639740675048655, 0.026808703568790726)
+    assert res.call_congestion == Estimate(0.44885661161367457, 0.05039744251870488)
+    assert res.traffic_congestion == Estimate(0.335423303680406, 0.025789716688068964)
+    assert res.per_source_call == (Estimate(0.3435797552237345, 0.030763122949865888),
+                                   Estimate(0.68757925017506, 0.07118041237303596),
+                                   Estimate(0.599462435717796, 0.07844298722883414))
+    assert res.per_source_traffic == (Estimate(0.17769739159978526, 0.029693052979853803),
+                                      Estimate(0.6825701581883973, 0.10390551458614296),
+                                      Estimate(0.5351595096723171, 0.07230694535740208))
+    assert [(r.attempts, r.blocked, r.offered_time, r.carried_time)
+            for r in res.replications] == [
+        (2190, 956, 2168.069117513152, 1184.6501774663968),
+        (2097, 918, 2041.7436233581366, 1186.268077930254),
+        (2236, 1056, 2281.1976857676927, 1217.7959047291565),
+    ]
+    assert res.replications[0].per_source_carried == (
+        873.9794009266697, 51.63945493601057, 259.0313216037165)

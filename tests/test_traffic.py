@@ -138,6 +138,12 @@ class TestMakeLoadVector:
         with pytest.raises(ValueError):
             min_feasible_tui(2, 2.5)
 
+    @pytest.mark.parametrize("total", [math.nan, math.inf])
+    def test_min_feasible_tui_rejects_non_finite_total(self, total):
+        # A NaN bound would leave default_tui_grid's loop without an exit.
+        with pytest.raises(ValueError, match="finite"):
+            min_feasible_tui(4, total)
+
 
 class TestArrivalIntensities:
     def test_symmetric(self):
