@@ -76,14 +76,22 @@ class SimSpec:
             raise ValueError("W must be >= 1")
         if self.mode not in MODES:
             raise ValueError(f"mode must be one of {MODES}, got {self.mode!r}")
-        if not (self.horizon > 0 and math.isfinite(self.horizon)):
-            raise ValueError("horizon must be positive and finite")
-        if self.warmup is None:
-            object.__setattr__(self, "warmup", 0.1 * self.horizon)
-        if not (0.0 <= self.warmup < self.horizon):
-            raise ValueError("warmup must satisfy 0 <= warmup < horizon")
-        if self.replications < 1:
-            raise ValueError("replications must be >= 1")
+        object.__setattr__(self, "warmup",
+                           check_run_lengths(self.horizon, self.warmup, self.replications))
+
+
+def check_run_lengths(horizon: float, warmup: float | None, replications: int) -> float:
+    """Validate a run's horizon, warmup and replication count; return the
+    warmup, a tenth of the horizon when None."""
+    if not (horizon > 0 and math.isfinite(horizon)):
+        raise ValueError("horizon must be positive and finite")
+    if warmup is None:
+        warmup = 0.1 * horizon
+    if not (0.0 <= warmup < horizon):
+        raise ValueError("warmup must satisfy 0 <= warmup < horizon")
+    if replications < 1:
+        raise ValueError("replications must be >= 1")
+    return warmup
 
 
 @dataclass(frozen=True)

@@ -24,7 +24,7 @@ from typing import Callable
 
 from .engset import BlockingMetrics, engset_classical, engset_lcc, engset_ofl
 from .errors import InfeasibleTuiError
-from .sim import MODES, Estimate, SimResult, SimSpec, simulate
+from .sim import MODES, Estimate, SimResult, SimSpec, check_run_lengths, simulate
 from .traffic import LoadVector, make_load_vector, min_feasible_tui
 
 # Analytic models by name, each fn(loads, w). The solvers are looked up in
@@ -49,6 +49,10 @@ class SimSettings:
     warmup: float | None = None
     replications: int = 10
     base_seed: int = 0
+
+    def __post_init__(self):
+        # Checked here too, so a sweep without a sim model still rejects them.
+        check_run_lengths(self.horizon, self.warmup, self.replications)
 
 
 @dataclass(frozen=True)

@@ -185,6 +185,16 @@ class TestSweepCommand:
         assert code == 2
         assert "per-wavelength load" in err
 
+    @pytest.mark.parametrize("argv, message", [
+        (("--preset", "fig6", "--reps", "0"), "replications must be >= 1"),
+        (("--preset", "fig3", "--horizon", "nan"), "horizon must be positive and finite"),
+    ])
+    def test_invalid_sim_settings_exit_2_without_sim_model(self, capsys, argv, message):
+        code, out, err = run_cli(capsys, "sweep", *argv, "--models", "lcc")
+        assert code == 2
+        assert out == ""
+        assert message in err
+
     def test_spec_file(self, capsys, tmp_path):
         spec = tmp_path / "mini.sweep"
         spec.write_text("name = mini\nm = 4\nw = 1,2\nload = 0.5\n"

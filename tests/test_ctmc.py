@@ -1,7 +1,9 @@
 """Brute-force chain oracle: hand-solved cases and product-form agreement."""
 
+import itertools
 import math
 import random
+import tracemalloc
 
 import mpmath
 import pytest
@@ -91,3 +93,67 @@ def test_deep_tail_traffic_congestion_matches_mpmath():
     _, metrics = ctmc_oracle([0.02] * 10, 5)
     assert metrics.traffic_congestion == pytest.approx(ref, rel=1e-12, abs=0.0)
     assert metrics.per_source_traffic == pytest.approx((ref,) * 10, rel=1e-12, abs=0.0)
+
+
+def mpmath_stationary(loads, w, dps=50):
+    """States and stationary law of the chain, assembled here from the
+    transition rules and solved by mpmath LU at ``dps`` digits."""
+    m = len(loads)
+    states = [s for k in range(min(w, m) + 1) for s in itertools.combinations(range(m), k)]
+    index = {s: j for j, s in enumerate(states)}
+    n = len(states)
+    with mpmath.workdps(dps):
+        lam = [mpmath.mpf(a) / (1 - mpmath.mpf(a)) for a in loads]
+        qt = mpmath.zeros(n, n)  # column j: the rates out of state j
+        for j, s in enumerate(states):
+            for i in s:
+                qt[index[tuple(x for x in s if x != i)], j] += 1
+            if len(s) < w:
+                for i in range(m):
+                    if i not in s:
+                        qt[index[tuple(sorted(s + (i,)))], j] += lam[i]
+            qt[j, j] = -mpmath.fsum(qt[l, j] for l in range(n) if l != j)
+        rhs = mpmath.zeros(n, 1)
+        for l in range(n):  # one balance equation gives way to normalisation
+            qt[n - 1, l] = 1
+        rhs[n - 1] = 1
+        pi = mpmath.lu_solve(qt, rhs)
+    return states, [pi[j] for j in range(n)]
+
+
+def test_deep_tail_heterogeneous_loss_matches_mpmath_lu():
+    # One hot source among cold ones: P(W busy) is dominated by states holding
+    # the hot source, so each source's loss P(i off, W busy) is a small sum of
+    # small state probabilities, which the level solve keeps exact in relative
+    # terms.
+    loads = [0.95, 0.001, 0.002, 0.003, 0.004]
+    w = 3
+    states, pi = mpmath_stationary(loads, w)
+    with mpmath.workdps(50):
+        lost = [mpmath.fsum(p for s, p in zip(states, pi) if len(s) == w and i not in s)
+                for i in range(len(loads))]
+        traffic = mpmath.fsum(mpmath.mpf(a) * b for a, b in zip(loads, lost)) / mpmath.fsum(
+            mpmath.mpf(a) for a in loads)
+    assert 1e-7 < traffic < 2e-7
+    sol, metrics = ctmc_oracle(loads, w)
+    assert sol.states == tuple(states)
+    assert metrics.traffic_congestion == pytest.approx(float(traffic), rel=1e-12, abs=0.0)
+    assert metrics.per_source_traffic == pytest.approx([float(x) for x in lost],
+                                                       rel=1e-12, abs=0.0)
+    assert sol.stationary == pytest.approx([float(p) for p in pi], rel=1e-12, abs=0.0)
+
+
+def test_level_solve_memory_on_twelve_sources():
+    # M=12, W=6: 2,510 states. The level solve keeps the R_k blocks below
+    # the top level and one level's working copies, about 19 MB; a dense
+    # generator and its LU copy took 51 MB.
+    loads = [0.05 + 0.025 * i for i in range(12)]
+    tracemalloc.start()
+    try:
+        sol, _ = ctmc_oracle(loads, 6)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(sol.states) == 2510
+    assert sol.balance_residual < 1e-9
+    assert peak < 30e6

@@ -27,6 +27,10 @@ def scipy_modules_after(code: str) -> list[str]:
     "import opsloss",
     "from opsloss.cli import main\n"
     "assert main(['analyze', '--loads', '0.4,0.4', '--w', '1', '--model', 'lcc']) == 0",
+    # The chain oracle solves with numpy alone; scipy.sparse would cost the
+    # process tens of megabytes and a third of a second.
+    "from opsloss.cli import main\n"
+    "assert main(['analyze', '--loads', '0.4,0.3,0.2,0.1', '--w', '2', '--model', 'oracle']) == 0",
 ])
 def test_no_scipy_loaded(code):
     assert scipy_modules_after(code) == []

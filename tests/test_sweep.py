@@ -128,6 +128,18 @@ class TestRunSweep:
         with pytest.raises(ValueError, match="per-wavelength load"):
             SweepSpec(name="t", m=2, w_values=(1,), per_wavelength_load=load)
 
+    @pytest.mark.parametrize("settings, message", [
+        (dict(replications=0), "replications"),
+        (dict(horizon=math.nan), "horizon"),
+        (dict(horizon=-1.0), "horizon"),
+        (dict(horizon=10.0, warmup=10.0), "warmup"),
+    ])
+    def test_sim_settings_reject_what_sim_spec_rejects(self, settings, message):
+        with pytest.raises(ValueError, match=message):
+            SimSettings(**settings)
+        with pytest.raises(ValueError, match=message):
+            SimSpec(loads=(0.5,), w=1, mode="cleared", **{"horizon": 1e3, **settings})
+
     def test_total_load_at_or_above_m_flags_whole_w(self):
         spec = SweepSpec(name="t", m=2, w_values=(4,), per_wavelength_load=0.5,
                          tui_values=(1.0,), models=("lcc",))
