@@ -1,0 +1,132 @@
+#!/usr/bin/env python3
+"""Record perfbench on a parent commit and on this checkout, in alternating pairs.
+
+    python3 scripts/bench_record.py --parent HEAD~1 --workloads analytic-distinct \\
+        --seeds 11,12,13 --pairs 10 --label my_change
+
+The parent's ``src`` is extracted with ``git archive`` into a temporary
+directory, next to a copy of this checkout's ``perfbench`` and
+``BENCHMARK.json``, so both sides run the same benchmark code; the work
+tree is left alone. Pair i runs every workload once on each side with seed
+``seeds[i % len(seeds)]``, the parent first in even pairs and the change
+first in odd ones. Each run lasts the ``run_seconds`` of BENCHMARK.json.
+
+Writes ``BENCH_<label>.json`` at the root of this checkout: every run's
+result object (the last line perfbench prints), then per workload, metric
+and side the median and quartiles of the end-to-end metrics, and the number
+of pairs in which the change was strictly better.
+"""
+
+import argparse
+import io
+import json
+import shutil
+import statistics
+import subprocess
+import sys
+import tarfile
+import tempfile
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def git(*args: str) -> bytes:
+    return subprocess.run(["git", *args], cwd=ROOT, check=True, capture_output=True).stdout
+
+
+def extract_parent(ref: str, dest: Path) -> None:
+    """The parent's src via git archive, with this checkout's benchmark."""
+    with tarfile.open(fileobj=io.BytesIO(git("archive", "--format=tar", ref, "src"))) as tar:
+        tar.extractall(dest, filter="data")
+    shutil.copytree(ROOT / "perfbench", dest / "perfbench",
+                    ignore=shutil.ignore_patterns("__pycache__", ".perfbench_out"))
+    shutil.copy2(ROOT / "BENCHMARK.json", dest / "BENCHMARK.json")
+
+
+def run(root: Path, workload: str, seed: int, seconds: float) -> dict:
+    """One perfbench run; its last stdout line is the result object."""
+    cmd = [sys.executable, str(root / "perfbench" / "run.py"), "--workload", workload,
+           "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"]
+    proc = subprocess.run(cmd, cwd=root, capture_output=True, text=True)
+    if proc.returncode != 0:
+        sys.exit(f"error: {' '.join(cmd)} exited {proc.returncode}:\n{proc.stderr[-2000:]}")
+    return json.loads(proc.stdout.strip().splitlines()[-1])
+
+
+def quartiles(values: list[float]) -> dict:
+    if len(values) == 1:
+        return {"median": values[0], "q1": values[0], "q3": values[0]}
+    q1, median, q3 = statistics.quantiles(values, n=4, method="inclusive")
+    return {"median": median, "q1": q1, "q3": q3}
+
+
+def summarize(runs: list[dict], metrics: list[dict]) -> dict:
+    out = {}
+    for m in metrics:
+        name = m["name"]
+        by_pair: dict[int, dict[str, float]] = {}
+        for r in runs:
+            by_pair.setdefault(r["pair"], {})[r["side"]] = r["result"]["metrics"][name]["value"]
+        sides = {side: quartiles([p[side] for p in by_pair.values()])
+                 for side in ("parent", "change")}
+        sign = 1.0 if m["better"] == "lower" else -1.0
+        wins = sum(sign * (p["change"] - p["parent"]) < 0 for p in by_pair.values())
+        out[name] = {"unit": m["unit"], "better": m["better"], **sides,
+                     "change_better_pairs": wins, "pairs": len(by_pair)}
+    return out
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--parent", required=True, help="git ref of the parent commit")
+    parser.add_argument("--workloads", required=True, help="comma-separated perfbench workloads")
+    parser.add_argument("--seeds", required=True, help="comma-separated perfbench seeds")
+    parser.add_argument("--pairs", type=int, required=True)
+    parser.add_argument("--label", required=True, help="names the output BENCH_<label>.json")
+    args = parser.parse_args(argv)
+    workloads = args.workloads.split(",")
+    seeds = [int(s) for s in args.seeds.split(",")]
+    if args.pairs < 1:
+        parser.error("--pairs must be >= 1")
+    spec = json.loads((ROOT / "BENCHMARK.json").read_text())
+    seconds = spec["run_seconds"]
+    parent_commit = git("rev-parse", args.parent).decode().strip()
+
+    runs = []
+    with tempfile.TemporaryDirectory(prefix="bench_parent_") as tmp:
+        parent_root = Path(tmp)
+        extract_parent(parent_commit, parent_root)
+        roots = {"parent": parent_root, "change": ROOT}
+        for pair in range(args.pairs):
+            seed = seeds[pair % len(seeds)]
+            order = ("parent", "change") if pair % 2 == 0 else ("change", "parent")
+            for workload in workloads:
+                for side in order:
+                    result = run(roots[side], workload, seed, seconds)
+                    runs.append({"workload": workload, "pair": pair, "seed": seed,
+                                 "side": side, "result": result})
+                    print(f"pair {pair} {workload} seed {seed} {side}: "
+                          + json.dumps({k: v["value"] for k, v in result["metrics"].items()}),
+                          file=sys.stderr)
+
+    record = {
+        "parent": parent_commit,
+        "change": git("rev-parse", "HEAD").decode().strip(),
+        "change_dirty": bool(git("status", "--porcelain", "--", "src")),
+        "python": sys.version.split()[0],
+        "run_seconds": seconds,
+        "seeds": seeds,
+        "pairs": args.pairs,
+        "runs": runs,
+        "summary": {w: summarize([r for r in runs if r["workload"] == w], spec["end_to_end"])
+                    for w in workloads},
+    }
+    out = ROOT / f"BENCH_{args.label}.json"
+    out.write_text(json.dumps(record, indent=1) + "\n")
+    print(f"wrote {out}", file=sys.stderr)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -8,8 +8,7 @@ loss.
 """
 
 from .ctmc import STATE_CAP, CtmcSolution, ctmc_oracle
-from .engset import (BlockingMetrics, OccupancyDistribution, engset_classical,
-                     engset_lcc, engset_ofl, lcc_occupancy, ofl_occupancy)
+from .engset import BlockingMetrics, engset_classical, engset_lcc, engset_ofl
 from .errors import (EstimationError, InfeasibleTuiError, StateSpaceError,
                      ZeroTrafficError)
 from .sim import (Estimate, ReplicationStats, SimResult, SimSpec,
@@ -24,14 +23,13 @@ from .traffic import (LoadVector, arrival_intensities, as_load_vector,
 __all__ = [
     "ANALYTIC_MODELS", "BlockingMetrics", "CSV_HEADER", "CtmcSolution", "Estimate",
     "EstimationError", "InfeasibleTuiError", "LoadVector", "METRICS", "MODELS",
-    "ModelError", "OccupancyDistribution", "ReplicationStats", "STATE_CAP",
-    "SimResult", "SimSettings", "SimSpec", "StateSpaceError", "SweepRow",
-    "SweepSpec", "ZeroTrafficError", "arrival_intensities",
-    "as_load_vector", "confidence_interval", "ctmc_oracle", "default_tui_grid",
-    "engset_classical", "engset_lcc", "engset_ofl", "lcc_occupancy",
-    "make_load_vector", "make_preset", "min_feasible_tui", "ofl_occupancy",
-    "offered_ratios", "preset_names", "rows_from_csv", "rows_to_csv",
-    "run_sweep", "simulate", "traditional_model_error", "tui",
+    "ModelError", "ReplicationStats", "STATE_CAP", "SimResult", "SimSettings",
+    "SimSpec", "StateSpaceError", "SweepRow", "SweepSpec", "ZeroTrafficError",
+    "arrival_intensities", "as_load_vector", "confidence_interval", "ctmc_oracle",
+    "default_tui_grid", "engset_classical", "engset_lcc", "engset_ofl",
+    "make_load_vector", "make_preset", "min_feasible_tui", "offered_ratios",
+    "preset_names", "rows_from_csv", "rows_to_csv", "run_sweep", "simulate",
+    "traditional_model_error", "tui",
 ]
 
 __version__ = "0.1.0"

@@ -24,13 +24,16 @@ order of first appearance, each with its multiplicity n_c. Sources of one
 class see the same blocking, so every leave-one-out quantity is computed
 once per class, not once per source:
 
-- LCC multiplies one binomial factor (1 + r_c x)^{n_c} per class. A table
-  of suffix products (classes + 1 rows of W + 1 coefficients) and a rolling
-  prefix row give each class's leave-one-out polynomial as
-  prefix * suffix * (1 + r_c x)^{n_c - 1}, so per-source metrics avoid the
-  cancellation-prone deflation e_k - r_i * e_{k-1}. Cost O(classes * W^2)
-  time and O(classes * W) memory; the paper's one-hot loads have two
-  classes, all-distinct loads M classes of one source each.
+- LCC multiplies one binomial factor (1 + r_c x)^{n_c} per class. Suffix
+  products and a rolling prefix row give each class's leave-one-out
+  polynomial as prefix * suffix * (1 + r_c x)^{n_c - 1}, so per-source
+  metrics avoid the cancellation-prone deflation e_k - r_i * e_{k-1}. Only
+  every s-th suffix row is kept, s = isqrt(classes); each block of s
+  classes rebuilds its rows from the kept row on its right by the same
+  products, bit for bit. Cost O(classes * W^2) time and
+  O(sqrt(classes) * W + M) memory (the rows, and each class's factor of at
+  most W + 1 coefficients); the paper's one-hot loads have two classes,
+  all-distinct loads M classes of one source each.
 - OFL keeps the full Poisson binomial pmf (O(M) vector steps) and deflates
   one source of each class out of it in a single pass over k, vectorised
   over the classes, forward for P(on) < 1/2 and backward otherwise; the
@@ -77,30 +80,6 @@ class BlockingMetrics:
                   *self.per_source_call, *self.per_source_traffic):
             if not (0.0 <= v <= 1.0):
                 raise ValueError(f"congestion value {v!r} outside [0, 1]")
-
-
-@dataclass(frozen=True)
-class OccupancyDistribution:
-    """P(k sources active) for k = 0..K; K = W for LCC, K = M for OFL."""
-
-    probs: tuple[float, ...]
-
-    def __post_init__(self):
-        probs = tuple(float(p) for p in self.probs)
-        if any(p < 0.0 for p in probs):
-            raise ValueError("occupancy probabilities must be nonnegative")
-        if abs(math.fsum(probs) - 1.0) > 1e-12:
-            raise ValueError("occupancy probabilities must sum to 1")
-        object.__setattr__(self, "probs", probs)
-
-    def __len__(self) -> int:
-        return len(self.probs)
-
-    def __getitem__(self, k: int) -> float:
-        return self.probs[k]
-
-    def mean(self) -> float:
-        return float(sum(k * p for k, p in enumerate(self.probs)))
 
 
 @dataclass(frozen=True)
@@ -166,17 +145,32 @@ def _binomial_factor(n: int, r: float, kmax: int) -> np.ndarray:
 
 
 def _times(row: np.ndarray, factor: np.ndarray) -> np.ndarray:
-    """Polynomial product, truncated to the degrees of ``row``."""
+    """Polynomial product, truncated to the degrees of ``row``.
+
+    A one-term factor is the empty product [1.0] (a one-source class left
+    out), so ``row`` itself is returned: no row is written in place once
+    made.
+    """
+    if len(factor) == 1:
+        return row
     return _rescaled(np.convolve(row, factor)[:len(row)])
 
 
-def _suffix_table(classes: _LoadClasses, r: Sequence[float], kmax: int) -> np.ndarray:
-    """Row c: product of the binomial factors of classes c.. (row 0 is e_k(r))."""
-    table = np.zeros((len(r) + 1, kmax + 1))
-    table[-1, 0] = 1.0
-    for c in range(len(r) - 1, -1, -1):
-        table[c] = _times(table[c + 1], _binomial_factor(classes.counts[c], r[c], kmax))
-    return table
+def _suffix_rows(factors: Sequence[np.ndarray], stop: int, row: np.ndarray,
+                 start: int = 0, every: int = 1) -> dict[int, np.ndarray]:
+    """Suffix rows ``stop`` (given as ``row``) down to ``start``, keeping row
+    ``stop`` and every row c with c % every == 0.
+
+    Row c is the product of the class factors c.. (row 0 is e_k(r)); the
+    same rows always come from the same products, so a row rebuilt from a
+    kept one is bit for bit the row it replaces.
+    """
+    rows = {stop: row}
+    for c in range(stop - 1, start - 1, -1):
+        row = _times(row, factors[c])
+        if c % every == 0:
+            rows[c] = row
+    return rows
 
 
 def _validated(loads: LoadVector | Sequence[float], w: int) -> tuple[tuple[float, ...], float]:
@@ -193,14 +187,22 @@ def _lcc_metrics(classes: _LoadClasses, w: int) -> BlockingMetrics:
     """Lost-calls-cleared metrics, one leave-one-out per load class."""
     kmax = min(w, len(classes.members))
     r = offered_ratios(classes.loads)
-    suffix = _suffix_table(classes, r, kmax)
-    full = suffix[0]
+    # Checkpoint rows 0, s, 2s, ... and C; each block of s classes rebuilds
+    # its own suffix rows from the checkpoint on its right.
+    step = max(1, math.isqrt(len(r)))
+    one = np.zeros(kmax + 1)
+    one[0] = 1.0
+    factors = [_binomial_factor(n, rc, kmax) for n, rc in zip(classes.counts, r)]
+    checkpoints = _suffix_rows(factors, len(r), one, every=step)
+    full = checkpoints[0]
     time_c = _at(full, w) / float(full.sum())
 
     per_call, per_traffic, attempt_weights = [], [], []
-    prefix = np.zeros(kmax + 1)
-    prefix[0] = 1.0
+    prefix = one
     for c, (a, rc, n) in enumerate(zip(classes.loads, r, classes.counts)):
+        if c % step == 0:
+            end = min(c + step, len(r))
+            suffix = _suffix_rows(factors, end, checkpoints[end], start=c + 1)
         # Leave-one-out polynomial prefix * rest; only three sums of its
         # coefficients are needed, each a dot product of prefix with rest
         # or its running sums. The common unknown scale cancels below.
@@ -216,7 +218,7 @@ def _lcc_metrics(classes: _LoadClasses, w: int) -> BlockingMetrics:
         per_call.append(_snap01(eiw / gi))
         attempt_weights.append(rc * (1.0 - ratio / (1.0 + ratio)))
         per_traffic.append(eiw / (gi + rc * hi) if a > 0.0 else 0.0)
-        prefix = _times(prefix, _binomial_factor(n, rc, kmax))
+        prefix = _times(prefix, factors[c])
 
     call_c = (classes.total([wgt * b for wgt, b in zip(attempt_weights, per_call)])
               / classes.total(attempt_weights))
@@ -248,17 +250,6 @@ def engset_lcc(loads: LoadVector | Sequence[float], w: int) -> BlockingMetrics:
     """
     a, _ = _validated(loads, w)
     return _lcc_metrics(_LoadClasses.of(a), w)
-
-
-def lcc_occupancy(loads: LoadVector | Sequence[float], w: int) -> OccupancyDistribution:
-    """Distribution of the number of active sources under admission, k = 0..W."""
-    a, _ = _validated(loads, w)
-    classes = _LoadClasses.of(a)
-    kmax = min(w, len(a))
-    e = _suffix_table(classes, offered_ratios(classes.loads), kmax)[0]
-    probs = np.zeros(w + 1)
-    probs[:kmax + 1] = e / e.sum()
-    return OccupancyDistribution(tuple(probs))
 
 
 def _poisson_binomial_pmf(probs: Sequence[float]) -> np.ndarray:
@@ -334,13 +325,6 @@ def engset_ofl(loads: LoadVector | Sequence[float], w: int) -> BlockingMetrics:
         per_source_call=per_source,
         per_source_traffic=per_source,
     )
-
-
-def ofl_occupancy(loads: LoadVector | Sequence[float]) -> OccupancyDistribution:
-    """Distribution of the free active-source count N, k = 0..M."""
-    a = as_load_vector(loads).loads
-    pmf = _poisson_binomial_pmf(a)
-    return OccupancyDistribution(tuple(pmf / pmf.sum()))
 
 
 def engset_classical(s: int, per_source_load: float, w: int) -> BlockingMetrics:

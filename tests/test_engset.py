@@ -1,5 +1,7 @@
 """Analytic blocking models: product form, overflow, homogeneous baseline."""
 
+import dataclasses
+import hashlib
 import math
 import random
 import tracemalloc
@@ -10,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from opsloss import (ZeroTrafficError, ctmc_oracle, engset_classical, engset_lcc,
-                     engset_ofl, lcc_occupancy, make_load_vector, ofl_occupancy)
+                     engset_ofl, make_load_vector)
 
 loads_strategy = st.lists(st.floats(0.0, 0.95), min_size=1, max_size=8).filter(
     lambda xs: sum(xs) > 0)
@@ -282,23 +284,44 @@ class TestLoadClasses:
             tracemalloc.stop()
         assert peak < 2_000_000
 
+    def test_distinct_memory_is_sqrt_classes(self):
+        # M=4096, W=512 all-distinct loads: 4096 classes. A full suffix
+        # table of (classes + 1) x (W + 1) floats would take 16.8 MB; about
+        # 2 sqrt(classes) rows are kept.
+        loads = distinct_loads(4096, 512)
+        tracemalloc.start()
+        try:
+            engset_lcc(loads, 512)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 3_000_000
 
-class TestOccupancy:
-    @given(loads_strategy, st.integers(1, 10))
-    @settings(max_examples=60)
-    def test_lcc_occupancy_normalized(self, loads, w):
-        dist = lcc_occupancy(loads, w)
-        assert math.fsum(dist.probs) == pytest.approx(1.0, abs=1e-12)
-        assert len(dist) == w + 1
-        assert 0.0 <= dist.mean() <= min(w, len(loads))
+    # SHA-256 of repr of the BlockingMetrics fields, recorded with the full
+    # suffix table: the checkpointed rows must reproduce every bit. The
+    # cases cover a square class count (256), one that is no multiple of
+    # its block (1000 = 32 * 31 + 8), fewer than four classes, W = M and
+    # W > M.
+    @pytest.mark.parametrize("m, w, digest", [
+        (256, 64, "19c143d8015bc5607fd4489b4f54c85daaff04fdcb422bbc69014965177644c9"),
+        (1000, 200, "f1a7ae2906ccd7884da2c03ab91c317d4ef10178acf28f9b932ea5523cfe84a9"),
+        (3, 2, "d8f593e624625098721006e4b0f2e3568d792ee0bfe89d95748eb6f291da1583"),
+        (12, 12, "00204885106d7f0437c556a145772f3e92c0c3710ec8f2d089eaedede1be5f6f"),
+        (9, 16, "140578ba7496ac6cea199b7528154cb2a3353e6c2ac650a641f5d546ed213ea8"),
+    ])
+    def test_distinct_loads_pinned_at_full_precision(self, m, w, digest):
+        fields = dataclasses.astuple(engset_lcc(distinct_loads(m, w), w))
+        assert hashlib.sha256(repr(fields).encode()).hexdigest() == digest
 
-    @given(loads_strategy)
-    @settings(max_examples=60)
-    def test_ofl_occupancy_normalized(self, loads):
-        dist = ofl_occupancy(loads)
-        assert math.fsum(dist.probs) == pytest.approx(1.0, abs=1e-12)
-        assert len(dist) == len(loads) + 1
-        assert dist.mean() == pytest.approx(math.fsum(loads), abs=1e-9)
+
+def distinct_loads(m, w):
+    """M seeded distinct loads in (0, min(0.95, 1.2 W / M)]."""
+    rng = random.Random(m * 1000 + w)
+    hi = min(0.95, 1.2 * w / m)
+    loads = [hi * (1.0 - rng.random()) for _ in range(m)]
+    assert len(set(loads)) == m
+    return loads
+
 
 
 def mp_lcc_reference(loads, w, source=None):
