@@ -17,9 +17,9 @@ def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--outdir", default="results", help="output directory")
     parser.add_argument("--presets", nargs="*", default=list(preset_names()))
-    parser.add_argument("--horizon", type=float, default=1e5)
-    parser.add_argument("--reps", type=int, default=10)
-    parser.add_argument("--seed", type=int, default=0)
+    parser.add_argument("--horizon", type=float, default=SimSettings.horizon)
+    parser.add_argument("--reps", type=int, default=SimSettings.replications)
+    parser.add_argument("--seed", type=int, default=SimSettings.base_seed)
     parser.add_argument("--analytic-only", action="store_true",
                         help="skip the sim-* models")
     args = parser.parse_args()

@@ -15,7 +15,7 @@ from .sim import (Estimate, ReplicationStats, SimResult, SimSpec,
                   confidence_interval, simulate)
 from .sweep import (ANALYTIC_MODELS, CSV_HEADER, METRICS, MODELS, ModelError, SimSettings,
                     SweepRow, SweepSpec, default_tui_grid, make_preset,
-                    preset_names, rows_from_csv, rows_to_csv, run_sweep,
+                    preset_names, rows_to_csv, run_sweep,
                     traditional_model_error)
 from .traffic import (LoadVector, arrival_intensities, as_load_vector,
                       make_load_vector, min_feasible_tui, offered_ratios, tui)
@@ -28,7 +28,7 @@ __all__ = [
     "arrival_intensities", "as_load_vector", "confidence_interval", "ctmc_oracle",
     "default_tui_grid", "engset_classical", "engset_lcc", "engset_ofl",
     "make_load_vector", "make_preset", "min_feasible_tui", "offered_ratios",
-    "preset_names", "rows_from_csv", "rows_to_csv", "run_sweep", "simulate",
+    "preset_names", "rows_to_csv", "run_sweep", "simulate",
     "traditional_model_error", "tui",
 ]
 

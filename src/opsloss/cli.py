@@ -2,10 +2,18 @@
 
 Thin adapters over the library functions. CSV goes to standard output
 (or a file for sweeps), diagnostics to standard error. Exit codes:
-0 success, 2 usage or domain error, 1 internal error. Each subcommand
-accepts --config FILE with ``key = value`` lines supplying defaults that
-explicit flags override; unknown keys are rejected. The ENGSET_SEED
-environment variable supplies the default base seed.
+0 success, 2 usage or domain error, 1 internal error.
+
+Each subcommand accepts --config FILE with ``key = value`` lines
+supplying defaults that explicit flags override. The keys are exactly
+the subcommand's flags without the dashes (``seed = 7`` for
+``--seed 7``), and the values go through the same parser as the flags,
+so a bad value is the same usage error; unknown keys are rejected.
+
+Simulation settings that are not given keep the defaults of
+``SimSettings``. The base seed comes from ``--seed``, else from a sweep
+spec file's ``seed``, else from the ENGSET_SEED environment variable,
+else 0.
 """
 
 from __future__ import annotations
@@ -15,7 +23,6 @@ import dataclasses
 import math
 import os
 import sys
-from typing import Callable
 
 from .ctmc import ctmc_oracle
 from .errors import EstimationError
@@ -69,25 +76,43 @@ def _read_key_values(path: str) -> dict[str, str]:
     return entries
 
 
-def _apply_config(args: argparse.Namespace, converters: dict[str, Callable]) -> None:
-    if not getattr(args, "config", None):
-        return
-    for key, raw in _read_key_values(args.config).items():
-        if key not in converters:
-            raise ValueError(
-                f"unknown config key {key!r}; valid keys: {', '.join(sorted(converters))}")
-        if getattr(args, key, None) is None:
-            setattr(args, key, converters[key](raw))
+def _apply_config(parser: argparse.ArgumentParser, args: argparse.Namespace) -> None:
+    """Fill the options not given on the command line from ``args.config``.
+
+    The keys are the subcommand's own option names. The values go through
+    the same parser as the flags, so they get the same conversions and
+    choices and the same usage errors.
+    """
+    entries = _read_key_values(args.config)
+    keys = set(vars(args)) - {"command", "func", "config"}
+    for key in entries:
+        if key not in keys:
+            raise ValueError(f"unknown config key {key!r}; valid keys: {', '.join(sorted(keys))}")
+    parsed = parser.parse_args([args.command, *(f"--{k}={v}" for k, v in entries.items())])
+    for key in entries:
+        if getattr(args, key) is None:
+            setattr(args, key, getattr(parsed, key))
+
+
+# Simulation flag -> SimSettings field.
+_SIM_FLAGS = {"horizon": "horizon", "warmup": "warmup", "reps": "replications",
+              "seed": "base_seed"}
+
+
+def _sim_settings(sim: SimSettings, args: argparse.Namespace, **file_values) -> SimSettings:
+    """``sim`` with ``file_values`` and then the simulation flags that were
+    given; with a seed from neither, the seed is $ENGSET_SEED or 0."""
+    changes = {**file_values, **{field: getattr(args, flag) for flag, field in _SIM_FLAGS.items()
+                                 if getattr(args, flag) is not None}}
+    if "base_seed" not in changes:
+        changes["base_seed"] = _default_seed()
+    return dataclasses.replace(sim, **changes)
 
 
 # ----------------------------------------------------------------------
 # Subcommands
 
-_TUI_CONVERTERS = {"loads": _parse_float_list, "m": int, "total": float, "tui": float}
-
-
 def cmd_tui(args: argparse.Namespace) -> int:
-    _apply_config(args, _TUI_CONVERTERS)
     synth = (args.m, args.total, args.tui)
     if args.loads is not None:
         if any(v is not None for v in synth):
@@ -101,16 +126,14 @@ def cmd_tui(args: argparse.Namespace) -> int:
     return 0
 
 
-_ANALYZE_CONVERTERS = {"loads": _parse_float_list, "w": int, "model": str}
+def _require(args: argparse.Namespace, *flags: str) -> None:
+    for flag in flags:
+        if getattr(args, flag) is None:
+            raise ValueError(f"--{flag} is required")
 
 
 def cmd_analyze(args: argparse.Namespace) -> int:
-    _apply_config(args, _ANALYZE_CONVERTERS)
-    for flag in ("loads", "w", "model"):
-        if getattr(args, flag) is None:
-            raise ValueError(f"--{flag} is required")
-    if args.model not in ANALYZE_MODELS:
-        raise ValueError(f"model must be one of {tuple(ANALYZE_MODELS)}, got {args.model!r}")
+    _require(args, "loads", "w", "model")
     loads = LoadVector(args.loads)
     metrics = ANALYZE_MODELS[args.model](loads, args.w)
     sys.stdout.write(rows_to_csv(metric_rows("analyze", len(loads), args.w, loads.total / args.w,
@@ -118,25 +141,14 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     return 0
 
 
-_SIMULATE_CONVERTERS = {"loads": _parse_float_list, "w": int, "mode": str,
-                        "horizon": float, "warmup": float, "reps": int,
-                        "seed": _parse_seed}
-
-
 def cmd_simulate(args: argparse.Namespace) -> int:
-    _apply_config(args, _SIMULATE_CONVERTERS)
-    for flag in ("loads", "w", "mode"):
-        if getattr(args, flag) is None:
-            raise ValueError(f"--{flag} is required")
-    horizon = args.horizon if args.horizon is not None else 1e5
-    reps = args.reps if args.reps is not None else 10
-    seed = args.seed if args.seed is not None else _default_seed()
-    if reps < 2:
+    _require(args, "loads", "w", "mode")
+    sim = _sim_settings(SimSettings(), args)
+    if sim.replications < 2:
         raise ValueError("confidence intervals need at least 2 replications")
     loads = LoadVector(args.loads)
     model = f"sim-{args.mode}"
-    res = evaluate(model, loads, args.w, SimSettings(horizon=horizon, warmup=args.warmup,
-                                                     replications=reps, base_seed=seed))
+    res = evaluate(model, loads, args.w, sim)
     point = ("simulate", len(loads), args.w, loads.total / args.w, compute_tui(loads), model)
     rows = metric_rows(*point, res)
     for i in range(len(loads)):
@@ -145,64 +157,41 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     return 0
 
 
-_SWEEP_CONVERTERS = {"preset": str, "spec": str, "models": _parse_str_list,
-                     "load": float, "horizon": float, "warmup": float,
-                     "reps": int, "seed": _parse_seed, "out": str}
-
 _SPEC_FILE_CONVERTERS = {"name": str, "m": int, "w": _parse_int_list, "load": float,
                          "tui": _parse_float_list, "models": _parse_str_list,
                          "horizon": float, "warmup": float, "replications": int,
                          "seed": _parse_seed}
+# Spec-file keys named unlike their SweepSpec or SimSettings field.
+_SPEC_FILE_FIELDS = {"w": "w_values", "load": "per_wavelength_load", "tui": "tui_values",
+                     "seed": "base_seed"}
 
 
-def _sweep_spec_from_file(path: str) -> SweepSpec:
+def _sweep_spec_from_file(path: str) -> tuple[SweepSpec, dict]:
+    """The spec file's SweepSpec, and its SimSettings fields."""
     entries = _read_key_values(path)
     unknown = sorted(set(entries) - set(_SPEC_FILE_CONVERTERS))
     if unknown:
         raise ValueError(f"unknown sweep spec keys {unknown}; "
                          f"valid keys: {', '.join(sorted(_SPEC_FILE_CONVERTERS))}")
-    vals = {k: _SPEC_FILE_CONVERTERS[k](v) for k, v in entries.items()}
+    fields = {_SPEC_FILE_FIELDS.get(k, k): _SPEC_FILE_CONVERTERS[k](v) for k, v in entries.items()}
     for required in ("m", "w", "load"):
-        if required not in vals:
+        if required not in entries:
             raise ValueError(f"sweep spec file is missing required key {required!r}")
-    sim = SimSettings(
-        horizon=vals.get("horizon", 1e5), warmup=vals.get("warmup"),
-        replications=vals.get("replications", 10), base_seed=vals.get("seed", _default_seed()))
-    name = vals.get("name", os.path.splitext(os.path.basename(path))[0])
-    return SweepSpec(name=name, m=vals["m"], w_values=vals["w"],
-                     per_wavelength_load=vals["load"], tui_values=vals.get("tui"),
-                     models=vals.get("models", ("lcc",)), sim=sim)
+    fields.setdefault("name", os.path.splitext(os.path.basename(path))[0])
+    sim = {f.name: fields.pop(f.name) for f in dataclasses.fields(SimSettings) if f.name in fields}
+    return SweepSpec(**fields), sim
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
-    _apply_config(args, _SWEEP_CONVERTERS)
     if (args.preset is None) == (args.spec is None):
         raise ValueError("provide exactly one of --preset or --spec")
     if args.preset is not None:
-        spec = make_preset(args.preset, per_wavelength_load=args.load,
-                           models=args.models)
+        spec, file_sim = make_preset(args.preset), {}
     else:
-        spec = _sweep_spec_from_file(args.spec)
-        changes = {}
-        if args.load is not None:
-            changes["per_wavelength_load"] = args.load
-        if args.models is not None:
-            changes["models"] = args.models
-        if changes:
-            spec = dataclasses.replace(spec, **changes)
-    sim_changes = {}
-    if args.horizon is not None:
-        sim_changes["horizon"] = args.horizon
-    if args.warmup is not None:
-        sim_changes["warmup"] = args.warmup
-    if args.reps is not None:
-        sim_changes["replications"] = args.reps
-    if args.seed is not None:
-        sim_changes["base_seed"] = args.seed
-    elif args.preset is not None and os.environ.get("ENGSET_SEED"):
-        sim_changes["base_seed"] = _default_seed()
-    if sim_changes:
-        spec = dataclasses.replace(spec, sim=dataclasses.replace(spec.sim, **sim_changes))
+        spec, file_sim = _sweep_spec_from_file(args.spec)
+    overrides = {"per_wavelength_load": args.load, "models": args.models}
+    spec = dataclasses.replace(spec, **{k: v for k, v in overrides.items() if v is not None},
+                               sim=_sim_settings(spec.sim, args, **file_sim))
     text = rows_to_csv(run_sweep(spec))
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
@@ -241,9 +230,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim.add_argument("--loads", type=_parse_float_list)
     p_sim.add_argument("--w", type=int)
     p_sim.add_argument("--mode", choices=MODES)
-    p_sim.add_argument("--horizon", type=float, help="simulated time (default 1e5)")
+    p_sim.add_argument("--horizon", type=float, help=f"simulated time (default {SimSettings.horizon:g})")
     p_sim.add_argument("--warmup", type=float, help="default: 10%% of horizon")
-    p_sim.add_argument("--reps", type=int, help="replications (default 10)")
+    p_sim.add_argument("--reps", type=int, help=f"replications (default {SimSettings.replications})")
     p_sim.add_argument("--seed", type=_parse_seed, help="base seed (default $ENGSET_SEED or 0)")
     p_sim.add_argument("--config", help="key = value defaults file")
     p_sim.set_defaults(func=cmd_simulate)
@@ -268,6 +257,8 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        if args.config:
+            _apply_config(parser, args)
         return args.func(args)
     except (ValueError, EstimationError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

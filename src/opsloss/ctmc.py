@@ -3,21 +3,22 @@
 Enumerates every subset of active sources of size at most W and solves
 the chain built from the transition rules (idle source i activates at
 rate lam_i while a channel is free, active sources deactivate at rate
-mu). Metrics are derived by direct summation over states, independently
-of the product-form solver this module exists to check.
+1: time is in units of the mean packet length). Metrics are derived by
+direct summation over states, independently of the product-form solver
+this module exists to check.
 
 The chain only moves between neighbouring levels k = |S|, so the solve
 censors it level by level from the top down (linear level reduction):
-N_K = K mu I at the top level K, R_k = U_{k-1} N_k^{-1} with U the
+N_K = K I at the top level K, R_k = U_{k-1} N_k^{-1} with U the
 activation rates, and N_{k-1} the negated generator of level k-1 with the
 levels above censored out, whose off-diagonal part is R_k D_k (D the
-deactivation rates) and whose row sums are (k-1) mu. Then pi_0 = 1 and
+deactivation rates) and whose row sums are k-1. Then pi_0 = 1 and
 pi_k = pi_{k-1} R_k. Each N_k^{-1} is applied by a recursive block
 elimination that carries the row sums instead of the diagonal (the GTH
 trick), so every operation adds, multiplies or divides nonnegative
 numbers and small state probabilities keep their relative accuracy.
 
-Only the R_k blocks below the top level are kept (R_K = U_{K-1} / (K mu)
+Only the R_k blocks below the top level are kept (R_K = U_{K-1} / K
 is applied through the moves themselves): sum over k < K of n_{k-1} n_k
 doubles, plus one level's working set, its return rates (n_{k-1}^2) and
 the elimination's copies. The work is O(sum n_k^3 + n_k^2 n_{k-1}) for
@@ -36,9 +37,9 @@ from typing import Sequence
 
 import numpy as np
 
-from .engset import BlockingMetrics, _snap01
-from .errors import StateSpaceError, ZeroTrafficError
-from .traffic import LoadVector, arrival_intensities, as_load_vector
+from .engset import BlockingMetrics, _snap01, _validated
+from .errors import StateSpaceError
+from .traffic import LoadVector, arrival_intensities
 
 STATE_CAP = 5_000
 
@@ -131,21 +132,16 @@ def _solve_right(off: np.ndarray, slack: np.ndarray, rhs: np.ndarray) -> np.ndar
     return np.hstack([y_rhs + x2 @ y_off, x2])
 
 
-def ctmc_oracle(loads: LoadVector | Sequence[float], w: int,
-                mu: float = 1.0) -> tuple[CtmcSolution, BlockingMetrics]:
+def ctmc_oracle(loads: LoadVector | Sequence[float],
+                w: int) -> tuple[CtmcSolution, BlockingMetrics]:
     """Solve the truncated on/off chain by explicit enumeration.
 
     Returns the stationary distribution together with the same metric set
     the product-form solver reports, computed by summing over states.
     """
-    if w < 1:
-        raise ValueError("W must be >= 1")
-    a = as_load_vector(loads).loads
+    a, offered = _validated(loads, w)
     m = len(a)
-    offered = math.fsum(a)
-    if offered == 0.0:
-        raise ZeroTrafficError("congestion ratios undefined for zero offered traffic")
-    lam = np.array(arrival_intensities(a, mu))
+    lam = np.array(arrival_intensities(a))
 
     levels = _enumerate_levels(m, w)
     top = len(levels) - 1
@@ -160,7 +156,7 @@ def ctmc_oracle(loads: LoadVector | Sequence[float], w: int,
         return up
 
     # No activation leaves the top level (W busy, or every source on), so
-    # N_top = top mu I and R_top = U_{top-1} / (top mu) stays implicit.
+    # N_top = top I and R_top = U_{top-1} / top stays implicit.
     r = [None] * top
     for k in range(top, 1, -1):
         # Rates of leaving level k-1 upward and first returning to it:
@@ -177,8 +173,7 @@ def ctmc_oracle(loads: LoadVector | Sequence[float], w: int,
             mv = moves[k]
             for i in range(m):
                 ret[:, mv.ridx[mv.of(i)]] += r[k][:, mv.cidx[mv.of(i)]]
-            ret *= mu
-        r[k - 1] = _solve_right(ret, np.full(sizes[k - 1], (k - 1) * mu), activations(k - 1))
+        r[k - 1] = _solve_right(ret, np.full(sizes[k - 1], float(k - 1)), activations(k - 1))
         del ret
 
     pis = [np.ones(1)]
@@ -186,7 +181,7 @@ def ctmc_oracle(loads: LoadVector | Sequence[float], w: int,
         pis.append(pis[-1] @ r[k])
     del r
     pis.append(np.bincount(last.cidx, pis[-1][last.ridx] * lam[last.src], sizes[top])
-               / (top * mu))
+               / top)
     total = math.fsum(math.fsum(p) for p in pis)
     pis = [p / total for p in pis]
 
@@ -194,13 +189,13 @@ def ctmc_oracle(loads: LoadVector | Sequence[float], w: int,
     residual = 0.0
     for k in range(top + 1):
         inflow = np.zeros(sizes[k])
-        outflow = pis[k] * (k * mu)
+        outflow = pis[k] * k
         if k > 0:
             mv = moves[k]
             inflow += np.bincount(mv.cidx, pis[k - 1][mv.ridx] * lam[mv.src], sizes[k])
         if k < top:
             mv = moves[k + 1]
-            inflow += mu * np.bincount(mv.ridx, pis[k + 1][mv.cidx], sizes[k])
+            inflow += np.bincount(mv.ridx, pis[k + 1][mv.cidx], sizes[k])
             outflow += pis[k] * np.bincount(mv.ridx, lam[mv.src], sizes[k])
         residual = max(residual, float(np.abs(inflow - outflow).max()))
 
@@ -220,7 +215,7 @@ def ctmc_oracle(loads: LoadVector | Sequence[float], w: int,
             blocked_off[i] = pis[top][without].sum()
             without[held] = True
 
-    # Global balance of source i, lam_i P(i off, not blocked) = mu P(i on),
+    # Global balance of source i, lam_i P(i off, not blocked) = P(i on),
     # gives (A_i - P(i on)) / A_i = P(i off, W busy): the lost share of
     # source i's offered load, read without the cancellation of the
     # difference when the loss is small.

@@ -218,7 +218,8 @@ def _lcc_metrics(classes: _LoadClasses, w: int) -> BlockingMetrics:
         per_call.append(_snap01(eiw / gi))
         attempt_weights.append(rc * (1.0 - ratio / (1.0 + ratio)))
         per_traffic.append(eiw / (gi + rc * hi) if a > 0.0 else 0.0)
-        prefix = _times(prefix, factors[c])
+        if c + 1 < len(r):
+            prefix = _times(prefix, factors[c])
 
     call_c = (classes.total([wgt * b for wgt, b in zip(attempt_weights, per_call)])
               / classes.total(attempt_weights))

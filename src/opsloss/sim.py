@@ -134,19 +134,17 @@ class SimResult:
     per_source_traffic: tuple[Estimate, ...]
 
 
-def confidence_interval(samples: Sequence[float], level: float = 0.95) -> tuple[float, float]:
-    """Mean and Student-t half-width (n-1 degrees of freedom)."""
+def confidence_interval(samples: Sequence[float]) -> tuple[float, float]:
+    """Mean and 95% Student-t half-width (n-1 degrees of freedom)."""
     xs = [float(x) for x in samples]
     n = len(xs)
     if n < 2:
         raise ValueError("confidence interval needs at least 2 samples")
-    if not (0.0 < level < 1.0):
-        raise ValueError("level must lie in (0, 1)")
     mean = math.fsum(xs) / n
     var = math.fsum((x - mean) ** 2 for x in xs) / (n - 1)
     # Imported here so that only simulation pays for loading scipy.
     from scipy.special import stdtrit
-    quantile = float(stdtrit(n - 1, 0.5 + level / 2.0))
+    quantile = float(stdtrit(n - 1, 0.975))
     return mean, quantile * math.sqrt(var / n)
 
 

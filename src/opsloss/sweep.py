@@ -212,26 +212,6 @@ def rows_to_csv(rows: list[SweepRow]) -> str:
     return buf.getvalue()
 
 
-def rows_from_csv(text: str) -> list[SweepRow]:
-    reader = csv.reader(io.StringIO(text))
-    header = next(reader)
-    if header != CSV_HEADER.split(","):
-        raise ValueError(f"unexpected CSV header {header!r}")
-    rows = []
-    for rec in reader:
-        if not rec:
-            continue
-        name, m, w, a, tui_s, model, metric, value, hw, status, note = rec
-        rows.append(SweepRow(
-            name=name, m=int(m), w=int(w), a=float(a),
-            tui=float(tui_s) if tui_s else None,
-            model=model, metric=metric,
-            value=float(value) if value else None,
-            ci_half_width=float(hw) if hw else None,
-            status=status, note=note))
-    return rows
-
-
 # ----------------------------------------------------------------------
 # Model-error analysis
 
@@ -307,18 +287,8 @@ def preset_names() -> tuple[str, ...]:
     return tuple(_PRESETS)
 
 
-def make_preset(name: str, per_wavelength_load: float | None = None,
-                models: tuple[str, ...] | None = None,
-                sim: SimSettings | None = None) -> SweepSpec:
-    """Stock SweepSpec by name, with optional overrides."""
+def make_preset(name: str, **changes) -> SweepSpec:
+    """Stock SweepSpec by name, with the SweepSpec fields in ``changes`` replaced."""
     if name not in _PRESETS:
         raise ValueError(f"unknown preset {name!r}; available: {', '.join(_PRESETS)}")
-    spec = _PRESETS[name]
-    changes: dict = {}
-    if per_wavelength_load is not None:
-        changes["per_wavelength_load"] = per_wavelength_load
-    if models is not None:
-        changes["models"] = models
-    if sim is not None:
-        changes["sim"] = sim
-    return dataclasses.replace(spec, **changes) if changes else spec
+    return dataclasses.replace(_PRESETS[name], **changes)

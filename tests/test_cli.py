@@ -1,8 +1,17 @@
 """Command line behaviour: outputs, exit codes, config files, determinism."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
+import opsloss
+from opsloss import ANALYTIC_MODELS, make_preset, preset_names
 from opsloss.cli import main
+
+SRC = Path(opsloss.__file__).resolve().parent.parent
 
 
 def run_cli(capsys, *argv):
@@ -256,6 +265,96 @@ class TestConfigFile:
     def test_missing_config_file_exits_2(self, capsys):
         code, _, _ = run_cli(capsys, "analyze", "--config", "/nonexistent.conf")
         assert code == 2
+
+    @pytest.mark.parametrize("command, options", [
+        ("tui", {"m": "16", "total": "2.0", "tui": "0.8"}),
+        ("analyze", {"loads": "0.4,0.3,0.2", "w": "2", "model": "ofl"}),
+        ("simulate", {"loads": "0.4,0.3", "w": "1", "mode": "held", "seed": "1e3",
+                      "reps": "3", "horizon": "2e3"}),
+        ("sweep", {"preset": "fig3", "models": "lcc,classical", "reps": "3"}),
+    ])
+    def test_config_file_equals_flags(self, capsys, tmp_path, command, options):
+        flags = [arg for key, value in options.items() for arg in (f"--{key}", value)]
+        cfg = tmp_path / "run.conf"
+        cfg.write_text("".join(f"{key} = {value}\n" for key, value in options.items()))
+        by_flags = run_cli(capsys, command, *flags)
+        by_config = run_cli(capsys, command, "--config", str(cfg))
+        assert by_flags[0] == 0
+        assert by_config[:2] == by_flags[:2]
+
+    def test_bad_value_is_the_bad_flags_usage_error(self, capsys, tmp_path):
+        cfg = tmp_path / "bad.conf"
+        cfg.write_text("loads = 0.4\nw = two\nmodel = lcc\n")
+        for argv in (["analyze", "--loads", "0.4", "--w", "two", "--model", "lcc"],
+                     ["analyze", "--config", str(cfg)]):
+            with pytest.raises(SystemExit) as exc:
+                main(argv)
+            assert exc.value.code == 2
+            assert "argument --w: invalid int value: 'two'" in capsys.readouterr().err
+
+
+class TestSweepSeedPrecedence:
+    """--seed > spec-file seed > ENGSET_SEED > 0."""
+
+    SIM = ("--models", "sim-cleared", "--horizon", "500", "--reps", "2")
+
+    def assert_pairs(self, capsys, monkeypatch, pairs):
+        """Each run, an (ENGSET_SEED, argv) pair, prints what its reference
+        run prints; the references, seeded apart, print different rows."""
+        refs = []
+        for run, ref in pairs:
+            outs = []
+            for env, argv in (run, ref):
+                if env is None:
+                    monkeypatch.delenv("ENGSET_SEED", raising=False)
+                else:
+                    monkeypatch.setenv("ENGSET_SEED", env)
+                code, out, _ = run_cli(capsys, "sweep", *argv, *self.SIM)
+                assert code == 0
+                outs.append(out)
+            assert outs[0] == outs[1]
+            refs.append(outs[1])
+        assert len(set(refs)) == len(refs)
+
+    def test_preset(self, capsys, monkeypatch):
+        preset = ("--preset", "fig3")
+        self.assert_pairs(capsys, monkeypatch, [
+            (("7", (*preset, "--seed", "5")), (None, (*preset, "--seed", "5"))),
+            (("7", preset), (None, (*preset, "--seed", "7"))),
+            ((None, preset), (None, (*preset, "--seed", "0")))])
+
+    def test_spec_file(self, capsys, monkeypatch, tmp_path):
+        body = "name = s\nm = 2\nw = 1\nload = 0.5\ntui = 0.8,1.0\n"
+        (tmp_path / "seeded.sweep").write_text(body + "seed = 3\n")
+        (tmp_path / "plain.sweep").write_text(body)
+        seeded = ("--spec", str(tmp_path / "seeded.sweep"))
+        plain = ("--spec", str(tmp_path / "plain.sweep"))
+        self.assert_pairs(capsys, monkeypatch, [
+            (("7", (*seeded, "--seed", "5")), (None, (*plain, "--seed", "5"))),
+            (("7", seeded), (None, (*plain, "--seed", "3"))),
+            (("7", plain), (None, (*plain, "--seed", "7"))),
+            ((None, plain), (None, (*plain, "--seed", "0")))])
+
+    def test_environment_unread_when_a_seed_is_given(self, capsys, monkeypatch, tmp_path):
+        spec = tmp_path / "seeded.sweep"
+        spec.write_text("m = 2\nw = 1\nload = 0.5\ntui = 1.0\nseed = 3\n")
+        monkeypatch.setenv("ENGSET_SEED", "1e400")
+        for argv in (("--spec", str(spec)), ("--preset", "fig3", "--seed", "3")):
+            code, _, err = run_cli(capsys, "sweep", *argv, *self.SIM)
+            assert code == 0, err
+
+
+class TestRunFiguresScript:
+    def test_analytic_only_matches_the_cli(self, capsys, tmp_path):
+        env = dict(os.environ, PYTHONPATH=str(SRC))
+        subprocess.run([sys.executable, str(SRC.parent / "scripts" / "run_figures.py"),
+                        "--analytic-only", "--outdir", str(tmp_path)],
+                       env=env, check=True, capture_output=True)
+        for name in preset_names():
+            models = [m for m in make_preset(name).models if m in ANALYTIC_MODELS]
+            code, out, _ = run_cli(capsys, "sweep", "--preset", name, "--models", ",".join(models))
+            assert code == 0
+            assert (tmp_path / f"{name}.csv").read_text(encoding="utf-8") == out
 
 
 class TestUsageErrors:

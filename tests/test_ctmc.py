@@ -28,14 +28,6 @@ def test_asymmetric_stationary_distribution():
     assert metrics.traffic_congestion == pytest.approx(3.5 / 31, abs=1e-12)
 
 
-def test_mu_invariance():
-    _, a = ctmc_oracle([0.3, 0.6, 0.1], 2, mu=1.0)
-    _, b = ctmc_oracle([0.3, 0.6, 0.1], 2, mu=5.0)
-    assert b.time_congestion == pytest.approx(a.time_congestion, abs=1e-12)
-    assert b.call_congestion == pytest.approx(a.call_congestion, abs=1e-12)
-    assert b.traffic_congestion == pytest.approx(a.traffic_congestion, abs=1e-12)
-
-
 def test_state_cap_error_names_cap():
     with pytest.raises(StateSpaceError, match=str(STATE_CAP)):
         ctmc_oracle([0.1] * 64, 32)
