@@ -12,9 +12,10 @@ tree is left alone. Pair i runs every workload once on each side with seed
 first in odd ones. Each run lasts the ``run_seconds`` of BENCHMARK.json.
 
 Writes ``BENCH_<label>.json`` at the root of this checkout: every run's
-result object (the last line perfbench prints), then per workload, metric
-and side the median and quartiles of the end-to-end metrics, and the number
-of pairs in which the change was strictly better.
+result object (the last line perfbench prints) and its ungated ``wall_s``,
+then per workload, metric and side the median and quartiles of the
+end-to-end metrics and ``wall_s``, and the number of pairs in which the
+change was strictly better.
 """
 
 import argparse
@@ -29,6 +30,9 @@ import tempfile
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
+DETAIL = "# detail "
+# Recorded next to the gated metrics of BENCHMARK.json, never gated.
+UNGATED = [{"name": "wall_s", "unit": "s", "better": "lower"}]
 
 
 def git(*args: str) -> bytes:
@@ -44,14 +48,19 @@ def extract_parent(ref: str, dest: Path) -> None:
     shutil.copy2(ROOT / "BENCHMARK.json", dest / "BENCHMARK.json")
 
 
-def run(root: Path, workload: str, seed: int, seconds: float) -> dict:
-    """One perfbench run; its last stdout line is the result object."""
+def run(root: Path, workload: str, seed: int, seconds: float) -> tuple[dict, dict]:
+    """One perfbench run: the result object (its last stdout line), and the
+    ungated end-to-end figures of its ``# detail`` line, name -> value."""
     cmd = [sys.executable, str(root / "perfbench" / "run.py"), "--workload", workload,
            "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"]
     proc = subprocess.run(cmd, cwd=root, capture_output=True, text=True)
     if proc.returncode != 0:
         sys.exit(f"error: {' '.join(cmd)} exited {proc.returncode}:\n{proc.stderr[-2000:]}")
-    return json.loads(proc.stdout.strip().splitlines()[-1])
+    lines = proc.stdout.strip().splitlines()
+    detail = next(json.loads(line.removeprefix(DETAIL)) for line in lines
+                  if line.startswith(DETAIL))
+    ungated = {m["name"]: detail["e2e"][m["name"]][0] for m in UNGATED}
+    return json.loads(lines[-1]), ungated
 
 
 def quartiles(values: list[float]) -> dict:
@@ -67,7 +76,9 @@ def summarize(runs: list[dict], metrics: list[dict]) -> dict:
         name = m["name"]
         by_pair: dict[int, dict[str, float]] = {}
         for r in runs:
-            by_pair.setdefault(r["pair"], {})[r["side"]] = r["result"]["metrics"][name]["value"]
+            gated = r["result"]["metrics"]
+            value = gated[name]["value"] if name in gated else r["ungated"][name]
+            by_pair.setdefault(r["pair"], {})[r["side"]] = value
         sides = {side: quartiles([p[side] for p in by_pair.values()])
                  for side in ("parent", "change")}
         sign = 1.0 if m["better"] == "lower" else -1.0
@@ -103,11 +114,12 @@ def main(argv=None) -> int:
             order = ("parent", "change") if pair % 2 == 0 else ("change", "parent")
             for workload in workloads:
                 for side in order:
-                    result = run(roots[side], workload, seed, seconds)
+                    result, ungated = run(roots[side], workload, seed, seconds)
                     runs.append({"workload": workload, "pair": pair, "seed": seed,
-                                 "side": side, "result": result})
+                                 "side": side, "result": result, "ungated": ungated})
                     print(f"pair {pair} {workload} seed {seed} {side}: "
-                          + json.dumps({k: v["value"] for k, v in result["metrics"].items()}),
+                          + json.dumps({**{k: v["value"] for k, v in result["metrics"].items()},
+                                        **ungated}),
                           file=sys.stderr)
 
     record = {
@@ -119,7 +131,8 @@ def main(argv=None) -> int:
         "seeds": seeds,
         "pairs": args.pairs,
         "runs": runs,
-        "summary": {w: summarize([r for r in runs if r["workload"] == w], spec["end_to_end"])
+        "summary": {w: summarize([r for r in runs if r["workload"] == w],
+                                 spec["end_to_end"] + UNGATED)
                     for w in workloads},
     }
     out = ROOT / f"BENCH_{args.label}.json"

@@ -9,8 +9,8 @@ horizon, so pass --analytic-only for a quick pass or shrink --horizon and
 import argparse
 import pathlib
 
-from opsloss import (ANALYTIC_MODELS, SimSettings, make_preset, preset_names, rows_to_csv,
-                     run_sweep)
+from opsloss import (ANALYTIC_MODELS, SimSettings, cli, make_preset, preset_names,
+                     rows_to_csv, run_sweep)
 
 
 def main() -> None:
@@ -19,7 +19,7 @@ def main() -> None:
     parser.add_argument("--presets", nargs="*", default=list(preset_names()))
     parser.add_argument("--horizon", type=float, default=SimSettings.horizon)
     parser.add_argument("--reps", type=int, default=SimSettings.replications)
-    parser.add_argument("--seed", type=int, default=SimSettings.base_seed)
+    parser.add_argument("--seed", type=cli._parse_seed, default=SimSettings.base_seed)
     parser.add_argument("--analytic-only", action="store_true",
                         help="skip the sim-* models")
     args = parser.parse_args()

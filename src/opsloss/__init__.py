@@ -18,7 +18,7 @@ from .sweep import (ANALYTIC_MODELS, CSV_HEADER, METRICS, MODELS, ModelError, Si
                     preset_names, rows_to_csv, run_sweep,
                     traditional_model_error)
 from .traffic import (LoadVector, arrival_intensities, as_load_vector,
-                      make_load_vector, min_feasible_tui, offered_ratios, tui)
+                      make_load_vector, min_feasible_tui, tui)
 
 __all__ = [
     "ANALYTIC_MODELS", "BlockingMetrics", "CSV_HEADER", "CtmcSolution", "Estimate",
@@ -27,7 +27,7 @@ __all__ = [
     "SimSpec", "StateSpaceError", "SweepRow", "SweepSpec", "ZeroTrafficError",
     "arrival_intensities", "as_load_vector", "confidence_interval", "ctmc_oracle",
     "default_tui_grid", "engset_classical", "engset_lcc", "engset_ofl",
-    "make_load_vector", "make_preset", "min_feasible_tui", "offered_ratios",
+    "make_load_vector", "make_preset", "min_feasible_tui",
     "preset_names", "rows_to_csv", "run_sweep", "simulate",
     "traditional_model_error", "tui",
 ]

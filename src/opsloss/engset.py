@@ -16,29 +16,35 @@ Overflow (OFL)
     Sources transmit whether or not a channel is free (the upstream
     channel is held either way) and any traffic beyond W concurrent
     packets is lost. The active-source count N then follows the Poisson
-    binomial law of independent indicators with P(on) = A_i, and the lost
-    fraction of offered load is E[(N-W)+] / E[N].
+    binomial law of independent indicators with P(on) = A_i, which is the
+    same product form untruncated: P(N = k) = e_k(r) / sum_j e_j(r). The
+    lost fraction of offered load is E[(N-W)+] / E[N].
 
 Both models group the sources into load classes: the distinct loads, in
 order of first appearance, each with its multiplicity n_c. Sources of one
 class see the same blocking, so every leave-one-out quantity is computed
-once per class, not once per source:
+once per class, not once per source, on one core:
 
-- LCC multiplies one binomial factor (1 + r_c x)^{n_c} per class. Suffix
-  products and a rolling prefix row give each class's leave-one-out
-  polynomial as prefix * suffix * (1 + r_c x)^{n_c - 1}, so per-source
-  metrics avoid the cancellation-prone deflation e_k - r_i * e_{k-1}. Only
-  every s-th suffix row is kept, s = isqrt(classes); each block of s
-  classes rebuilds its rows from the kept row on its right by the same
-  products, bit for bit. Cost O(classes * W^2) time and
-  O(sqrt(classes) * W + M) memory (the rows, and each class's factor of at
-  most W + 1 coefficients); the paper's one-hot loads have two classes,
-  all-distinct loads M classes of one source each.
-- OFL keeps the full Poisson binomial pmf (O(M) vector steps) and deflates
-  one source of each class out of it in a single pass over k, vectorised
-  over the classes, forward for P(on) < 1/2 and backward otherwise; the
-  tail sums are accumulated on the way, so memory stays O(M + classes).
+- One binomial factor (1 + r_c x)^{n_c} per class. Suffix products and a
+  rolling prefix row give each class's leave-one-out polynomial as
+  prefix * suffix * (1 + r_c x)^{n_c - 1}, so per-source metrics avoid
+  the cancellation-prone deflation e_k - r_i * e_{k-1}. Only every s-th
+  suffix row is kept, s = isqrt(classes); each block of s classes
+  rebuilds its rows from the kept row on its right by the same products,
+  bit for bit. Cost O(classes * W^2) time and O(sqrt(classes) * W + M)
+  memory (the rows, and each class's factor of at most W + 1
+  coefficients); the paper's one-hot loads have two classes, all-distinct
+  loads M classes of one source each.
+- The models differ in what happens above degree W. LCC drops those
+  degrees (the truncated product form). OFL folds them into degree W, so
+  coefficient W holds the overflow states N >= W; folding commutes with
+  the products, and a class's blocking P(N without i >= W) is the top
+  coefficient of its leave-one-out product over that product's sum.
+- OFL's time congestion and E[(N-W)+] need the whole law of N: one more
+  rolling product of the class factors at full degree, O(M^2) time and
+  O(M) memory on all-distinct loads.
 
+Every step adds or multiplies nonnegative numbers.
 Every table row is rescaled by its peak when it grows past 1e150; all
 reported quantities are ratios of like-scaled sums, so the scale factor
 cancels and never needs to be tracked.
@@ -54,12 +60,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
 from .errors import ZeroTrafficError
-from .traffic import LoadVector, as_load_vector, offered_ratios
+from .traffic import LoadVector, arrival_intensities, as_load_vector
 
 _RESCALE_THRESHOLD = 1e150
 _SNAP = 1e-9
@@ -127,13 +133,25 @@ def _rescaled(row: np.ndarray) -> np.ndarray:
     return row
 
 
-def _binomial_factor(n: int, r: float, kmax: int) -> np.ndarray:
-    """(1 + r x)^n up to degree kmax: C(n, k) r^k for k = 0..min(n, kmax).
+def _cut(row: np.ndarray, kmax: int, fold: bool) -> np.ndarray:
+    """Degrees 0..kmax of ``row``; with ``fold``, degree kmax also takes the
+    sum of every degree above it (the overflow states N >= kmax)."""
+    if len(row) <= kmax + 1:
+        return row
+    out = row[:kmax + 1]
+    if fold:
+        out[kmax] += row[kmax + 1:].sum()
+    return out
+
+
+def _binomial_factor(n: int, r: float, kmax: int, fold: bool) -> np.ndarray:
+    """(1 + r x)^n cut at degree kmax: C(n, k) r^k for k = 0..min(n, kmax),
+    the terms above kmax dropped or, with ``fold``, summed into degree kmax.
 
     Rescaled inside the recurrence whenever a term passes the threshold,
     since C(n, k) r^k alone overflows for thousands of sources.
     """
-    terms = np.empty(min(n, kmax) + 1)
+    terms = np.empty((n if fold else min(n, kmax)) + 1)
     terms[0] = t = 1.0
     for k in range(1, len(terms)):
         t = t * r * (n - k + 1) / k
@@ -141,11 +159,11 @@ def _binomial_factor(n: int, r: float, kmax: int) -> np.ndarray:
             terms[:k] /= t
             t = 1.0
         terms[k] = t
-    return terms
+    return _cut(terms, kmax, fold)
 
 
-def _times(row: np.ndarray, factor: np.ndarray) -> np.ndarray:
-    """Polynomial product, truncated to the degrees of ``row``.
+def _times(row: np.ndarray, factor: np.ndarray, fold: bool) -> np.ndarray:
+    """Polynomial product, cut at the top degree of ``row``.
 
     A one-term factor is the empty product [1.0] (a one-source class left
     out), so ``row`` itself is returned: no row is written in place once
@@ -153,10 +171,10 @@ def _times(row: np.ndarray, factor: np.ndarray) -> np.ndarray:
     """
     if len(factor) == 1:
         return row
-    return _rescaled(np.convolve(row, factor)[:len(row)])
+    return _rescaled(_cut(np.convolve(row, factor), len(row) - 1, fold))
 
 
-def _suffix_rows(factors: Sequence[np.ndarray], stop: int, row: np.ndarray,
+def _suffix_rows(factors: Sequence[np.ndarray], stop: int, row: np.ndarray, fold: bool,
                  start: int = 0, every: int = 1) -> dict[int, np.ndarray]:
     """Suffix rows ``stop`` (given as ``row``) down to ``start``, keeping row
     ``stop`` and every row c with c % every == 0.
@@ -167,10 +185,41 @@ def _suffix_rows(factors: Sequence[np.ndarray], stop: int, row: np.ndarray,
     """
     rows = {stop: row}
     for c in range(stop - 1, start - 1, -1):
-        row = _times(row, factors[c])
+        row = _times(row, factors[c], fold)
         if c % every == 0:
             rows[c] = row
     return rows
+
+
+def _leave_one_out(counts: Sequence[int], r: Sequence[float], kmax: int, fold: bool
+                   ) -> tuple[np.ndarray, Iterator[tuple[np.ndarray, np.ndarray]]]:
+    """The product of all class factors, and each class's leave-one-out pair.
+
+    Class c's pair (prefix, rest) multiplies to the generating polynomial of
+    the other sources when one source of class c is left out: prefix is the
+    product of the factors before c, rest the product of those after c
+    times (1 + r_c x)^{n_c - 1}. Every product is cut at degree kmax.
+    Checkpoint rows 0, s, 2s, ... and C are kept, s = isqrt(classes); each
+    block of s classes rebuilds its own suffix rows from the checkpoint on
+    its right. The pairs are made lazily, one class at a time.
+    """
+    step = max(1, math.isqrt(len(r)))
+    one = np.zeros(kmax + 1)
+    one[0] = 1.0
+    factors = [_binomial_factor(n, rc, kmax, fold) for n, rc in zip(counts, r)]
+    checkpoints = _suffix_rows(factors, len(r), one, fold, every=step)
+
+    def pairs() -> Iterator[tuple[np.ndarray, np.ndarray]]:
+        prefix = one
+        for c, (n, rc) in enumerate(zip(counts, r)):
+            if c % step == 0:
+                end = min(c + step, len(r))
+                suffix = _suffix_rows(factors, end, checkpoints[end], fold, start=c + 1)
+            yield prefix, _times(suffix[c + 1], _binomial_factor(n - 1, rc, kmax, fold), fold)
+            if c + 1 < len(r):
+                prefix = _times(prefix, factors[c], fold)
+
+    return checkpoints[0], pairs()
 
 
 def _validated(loads: LoadVector | Sequence[float], w: int) -> tuple[tuple[float, ...], float]:
@@ -186,27 +235,15 @@ def _validated(loads: LoadVector | Sequence[float], w: int) -> tuple[tuple[float
 def _lcc_metrics(classes: _LoadClasses, w: int) -> BlockingMetrics:
     """Lost-calls-cleared metrics, one leave-one-out per load class."""
     kmax = min(w, len(classes.members))
-    r = offered_ratios(classes.loads)
-    # Checkpoint rows 0, s, 2s, ... and C; each block of s classes rebuilds
-    # its own suffix rows from the checkpoint on its right.
-    step = max(1, math.isqrt(len(r)))
-    one = np.zeros(kmax + 1)
-    one[0] = 1.0
-    factors = [_binomial_factor(n, rc, kmax) for n, rc in zip(classes.counts, r)]
-    checkpoints = _suffix_rows(factors, len(r), one, every=step)
-    full = checkpoints[0]
+    r = arrival_intensities(classes.loads)
+    full, pairs = _leave_one_out(classes.counts, r, kmax, fold=False)
     time_c = _at(full, w) / float(full.sum())
 
     per_call, per_traffic, attempt_weights = [], [], []
-    prefix = one
-    for c, (a, rc, n) in enumerate(zip(classes.loads, r, classes.counts)):
-        if c % step == 0:
-            end = min(c + step, len(r))
-            suffix = _suffix_rows(factors, end, checkpoints[end], start=c + 1)
-        # Leave-one-out polynomial prefix * rest; only three sums of its
-        # coefficients are needed, each a dot product of prefix with rest
-        # or its running sums. The common unknown scale cancels below.
-        rest = _times(suffix[c + 1], _binomial_factor(n - 1, rc, kmax))
+    for (prefix, rest), a, rc in zip(pairs, classes.loads, r):
+        # Only three sums of the coefficients of prefix * rest are needed,
+        # each a dot product of prefix with rest or its running sums. The
+        # common unknown scale cancels below.
         partial = np.cumsum(rest)
         gi = float(prefix @ partial[::-1])              # degrees 0..kmax
         if w <= kmax:
@@ -218,8 +255,6 @@ def _lcc_metrics(classes: _LoadClasses, w: int) -> BlockingMetrics:
         per_call.append(_snap01(eiw / gi))
         attempt_weights.append(rc * (1.0 - ratio / (1.0 + ratio)))
         per_traffic.append(eiw / (gi + rc * hi) if a > 0.0 else 0.0)
-        if c + 1 < len(r):
-            prefix = _times(prefix, factors[c])
 
     call_c = (classes.total([wgt * b for wgt, b in zip(attempt_weights, per_call)])
               / classes.total(attempt_weights))
@@ -253,52 +288,11 @@ def engset_lcc(loads: LoadVector | Sequence[float], w: int) -> BlockingMetrics:
     return _lcc_metrics(_LoadClasses.of(a), w)
 
 
-def _poisson_binomial_pmf(probs: Sequence[float]) -> np.ndarray:
-    """P(N = k) for N a sum of independent Bernoulli(p_i), by the PGF product."""
-    pmf = np.array([1.0])
-    for p in probs:
-        nxt = np.zeros(len(pmf) + 1)
-        nxt[:-1] = pmf * (1.0 - p)
-        nxt[1:] += pmf * p
-        pmf = nxt
-    return pmf
-
-
-def _deflated_tails(pmf: np.ndarray, probs: np.ndarray, w: int) -> np.ndarray:
-    """P(N' >= w) for each p in ``probs``, N' being N with one Bernoulli(p) removed.
-
-    Deflation follows the stable branch: forward for p < 1/2, backward
-    otherwise. Each branch is one pass over k with a vector of the
-    branch's probabilities; negative rounding residue is clipped out of
-    the tail sums.
-    """
-    n = len(pmf) - 1
-    tails = np.zeros(len(probs))
-    forward = probs < 0.5
-
-    p = probs[forward]
-    c = 1.0 - p
-    q = np.zeros(len(p))  # q[k] = (pmf[k] - p q[k-1]) / c, k = 0..n-1
-    tail = np.zeros(len(p))
-    for k in range(n):
-        q = (pmf[k] - p * q) / c
-        if k >= w:
-            tail += np.maximum(q, 0.0)
-    tails[forward] = tail
-
-    p = probs[~forward]
-    c = 1.0 - p
-    q = np.zeros(len(p))  # q[k-1] = (pmf[k] - (1-p) q[k]) / p, k = n..w+1
-    tail = np.zeros(len(p))
-    for k in range(n, w, -1):
-        q = (pmf[k] - c * q) / p
-        tail += np.maximum(q, 0.0)
-    tails[~forward] = tail
-    return tails
-
-
 def engset_ofl(loads: LoadVector | Sequence[float], w: int) -> BlockingMetrics:
-    """Overflow metrics from the Poisson binomial active-source count.
+    """Overflow metrics from the active-source count N.
+
+    N has P(N = k) = e_k(r) / sum_j e_j(r), the Poisson binomial law of
+    independent sources with P(on) = A_i:
 
     time congestion    = P(N >= W)
     traffic congestion = E[(N-W)+] / E[N]
@@ -307,16 +301,26 @@ def engset_ofl(loads: LoadVector | Sequence[float], w: int) -> BlockingMetrics:
                          same way (per-source traffic = per-source call)
     """
     a, offered = _validated(loads, w)
-    m = len(a)
     classes = _LoadClasses.of(a)
-    pmf = _poisson_binomial_pmf(a)
-    time_c = float(pmf[w:].sum())
-    ks = np.arange(m + 1)
-    overflow = float(((ks - w).clip(min=0) * pmf).sum())
-    traffic_c = overflow / offered
+    kmax = min(w, len(a))
+    r = arrival_intensities(classes.loads)
+    _, pairs = _leave_one_out(classes.counts, r, kmax, fold=True)
+    # With degrees >= W folded into degree W, P(N without i >= W) is the
+    # top coefficient of prefix * rest over its sum; with W > M no source
+    # is ever blocked.
+    per_call = [_snap01(float(prefix @ np.cumsum(rest[::-1]))
+                        / (float(prefix.sum()) * float(rest.sum())))
+                if w <= kmax else 0.0
+                for prefix, rest in pairs]
 
-    tails = _deflated_tails(pmf, np.array(classes.loads), w)
-    per_call = [_snap01(float(t)) for t in tails]
+    # The aggregates need the whole law of N: one product at full degree.
+    full = np.ones(1)
+    for n, rc in zip(classes.counts, r):
+        full = _rescaled(np.convolve(full, _binomial_factor(n, rc, n, fold=False)))
+    tail = full[w:]
+    total = float(full.sum())
+    time_c = float(tail.sum()) / total
+    traffic_c = float(np.arange(len(tail)) @ tail) / total / offered  # E[(N-W)+] / E[N]
     call_c = classes.total([x * b for x, b in zip(classes.loads, per_call)]) / offered
     per_source = classes.per_source(per_call)
     return BlockingMetrics(

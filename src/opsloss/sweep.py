@@ -38,7 +38,6 @@ ANALYTIC_MODELS: dict[str, Callable[[LoadVector, int], BlockingMetrics]] = {
 MODELS = (*ANALYTIC_MODELS, *(f"sim-{mode}" for mode in MODES))
 METRICS = ("time", "call", "traffic")
 CSV_HEADER = "name,M,W,A,tui,model,metric,value,ci_half_width,status,note"
-DEFAULT_TUI_STEP = 0.05
 
 
 @dataclass(frozen=True)
@@ -98,12 +97,13 @@ class SweepRow:
     note: str = ""
 
 
-def default_tui_grid(m: int, total_load: float, step: float = DEFAULT_TUI_STEP) -> tuple[float, ...]:
-    """Uniformity grid anchored at 1.0, descending by ``step``, clipped to
-    the feasible range; the closed lower boundary 1/M is included whenever
-    it is reachable (total_load < 1)."""
+def default_tui_grid(m: int, total_load: float) -> tuple[float, ...]:
+    """Uniformity grid anchored at 1.0, descending in steps of 0.05, clipped
+    to the feasible range; the closed lower boundary 1/M is included
+    whenever it is reachable (total_load < 1)."""
     if m == 1:
         return (1.0,)
+    step = 0.05
     closed = total_load < 1.0
     bound = min_feasible_tui(m, total_load)
     ts: list[float] = []

@@ -152,15 +152,8 @@ def make_load_vector(m: int, total_load: float, target_tui: float) -> LoadVector
     return LoadVector((hot,) + (cold,) * (m - 1))
 
 
-def arrival_intensities(loads: LoadVector | Sequence[float], mu: float = 1.0) -> tuple[float, ...]:
-    """Per-source attempt intensities lam_i = A_i * mu / (1 - A_i)."""
-    if mu <= 0 or not math.isfinite(mu):
-        raise ValueError("mu must be a positive real")
-    a = as_load_vector(loads).loads
-    return tuple(x * mu / (1.0 - x) for x in a)
-
-
-def offered_ratios(loads: LoadVector | Sequence[float]) -> tuple[float, ...]:
-    """Per-source odds r_i = A_i / (1 - A_i) = lam_i / mu."""
+def arrival_intensities(loads: LoadVector | Sequence[float]) -> tuple[float, ...]:
+    """Per-source attempt intensities lam_i = A_i / (1 - A_i) at unit
+    departure rate, which are also the odds r_i of the product form."""
     a = as_load_vector(loads).loads
     return tuple(x / (1.0 - x) for x in a)

@@ -287,15 +287,18 @@ class TestLoadClasses:
     def test_distinct_memory_is_sqrt_classes(self):
         # M=4096, W=512 all-distinct loads: 4096 classes. A full suffix
         # table of (classes + 1) x (W + 1) floats would take 16.8 MB; about
-        # 2 sqrt(classes) rows are kept.
+        # 2 sqrt(classes) rows are kept. OFL folds degrees above W into
+        # degree W, so its rows are no longer than LCC's; rows of full
+        # degree M would take about 7.5 MB.
         loads = distinct_loads(4096, 512)
-        tracemalloc.start()
-        try:
-            engset_lcc(loads, 512)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert peak < 3_000_000
+        for solver in (engset_lcc, engset_ofl):
+            tracemalloc.start()
+            try:
+                solver(loads, 512)
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert peak < 3_000_000, solver.__name__
 
     # SHA-256 of repr of the BlockingMetrics fields, recorded with the full
     # suffix table: the checkpointed rows must reproduce every bit. The
@@ -345,6 +348,18 @@ def mp_lcc_reference(loads, w, source=None):
         return 1 - ratio / (1 + ratio) / a[source]
 
 
+def mp_ofl_reference(loads, w, source):
+    """P(N without ``source`` >= W) of the overflow model at 60 digits, from
+    the full-degree ESP of the other sources."""
+    with mpmath.workdps(60):
+        r = [mpmath.mpf(x) / (1 - mpmath.mpf(x)) for i, x in enumerate(loads) if i != source]
+        e = [mpmath.mpf(1)] + [mpmath.mpf(0)] * len(r)
+        for n, ri in enumerate(r, 1):
+            for k in range(n, 0, -1):
+                e[k] += ri * e[k - 1]
+        return mpmath.fsum(e[w:]) / mpmath.fsum(e)
+
+
 class TestDeepTailAccuracy:
     """Relative accuracy where the loss is far below double rounding of 1."""
 
@@ -369,3 +384,21 @@ class TestDeepTailAccuracy:
         for i in (hot, cold):
             assert metrics.per_source_traffic[i] == pytest.approx(
                 float(mp_lcc_reference(loads, 64, source=i)), rel=1e-12, abs=0.0)
+
+    @pytest.mark.parametrize("target", [0.9, 0.95])
+    def test_one_hot_ofl_per_source_matches_mpmath(self, target):
+        loads = make_load_vector(256, 0.3 * 64, target).loads
+        metrics = engset_ofl(loads, 64)
+        for i in (loads.index(max(loads)), loads.index(min(loads))):
+            ref = mp_ofl_reference(loads, 64, i)
+            assert 1e-19 < float(ref) < 1e-16
+            assert metrics.per_source_call[i] == pytest.approx(float(ref), rel=1e-12, abs=0.0)
+
+    @pytest.mark.parametrize("m, w", [(32, 31), (24, 22)])
+    def test_distinct_ofl_per_source_matches_mpmath(self, m, w):
+        # W near M: the top of the law, where most sources are on.
+        loads = distinct_loads(m, w)
+        metrics = engset_ofl(loads, w)
+        for i in range(m):
+            assert metrics.per_source_call[i] == pytest.approx(
+                float(mp_ofl_reference(loads, w, i)), rel=1e-12, abs=0.0)
