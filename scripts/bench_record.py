@@ -4,9 +4,12 @@
     python3 scripts/bench_record.py --parent HEAD~1 --workloads analytic-distinct \\
         --seeds 11,12,13 --pairs 10 --label my_change
 
-The parent's ``src`` is extracted with ``git archive`` into a temporary
-directory, next to a copy of this checkout's ``perfbench`` and
-``BENCHMARK.json``, so both sides run the same benchmark code; the work
+Both sides run from sibling temporary trees built the same way, so that
+neither gains from where it runs or from bytecode it already has: the
+parent's ``src`` comes from ``git archive``, the change's is a copy of this
+work tree's ``src`` without ``__pycache__``, each tree gets a copy of this
+checkout's ``perfbench`` and ``BENCHMARK.json``, and both ``src`` trees are
+byte-compiled by ``python -m compileall`` before the first pair. The work
 tree is left alone. Pair i runs every workload once on each side with seed
 ``seeds[i % len(seeds)]``, the parent first in even pairs and the change
 first in odd ones. Each run lasts the ``run_seconds`` of BENCHMARK.json.
@@ -39,13 +42,18 @@ def git(*args: str) -> bytes:
     return subprocess.run(["git", *args], cwd=ROOT, check=True, capture_output=True).stdout
 
 
-def extract_parent(ref: str, dest: Path) -> None:
-    """The parent's src via git archive, with this checkout's benchmark."""
-    with tarfile.open(fileobj=io.BytesIO(git("archive", "--format=tar", ref, "src"))) as tar:
-        tar.extractall(dest, filter="data")
-    shutil.copytree(ROOT / "perfbench", dest / "perfbench",
-                    ignore=shutil.ignore_patterns("__pycache__", ".perfbench_out"))
+def build_side(dest: Path, ref: str | None) -> None:
+    """A tree with ``src`` from commit ``ref`` (from the work tree when None),
+    this checkout's benchmark, and bytecode compiled for every module of src."""
+    skip = shutil.ignore_patterns("__pycache__", ".perfbench_out")
+    if ref is None:
+        shutil.copytree(ROOT / "src", dest / "src", ignore=skip)
+    else:
+        with tarfile.open(fileobj=io.BytesIO(git("archive", "--format=tar", ref, "src"))) as tar:
+            tar.extractall(dest, filter="data")
+    shutil.copytree(ROOT / "perfbench", dest / "perfbench", ignore=skip)
     shutil.copy2(ROOT / "BENCHMARK.json", dest / "BENCHMARK.json")
+    subprocess.run([sys.executable, "-m", "compileall", "-q", str(dest / "src")], check=True)
 
 
 def run(root: Path, workload: str, seed: int, seconds: float) -> tuple[dict, dict]:
@@ -105,10 +113,11 @@ def main(argv=None) -> int:
     parent_commit = git("rev-parse", args.parent).decode().strip()
 
     runs = []
-    with tempfile.TemporaryDirectory(prefix="bench_parent_") as tmp:
-        parent_root = Path(tmp)
-        extract_parent(parent_commit, parent_root)
-        roots = {"parent": parent_root, "change": ROOT}
+    with tempfile.TemporaryDirectory(prefix="bench_record_") as tmp:
+        # Sibling directories whose names have one length, so both paths are as long.
+        roots = {"parent": Path(tmp) / "parent", "change": Path(tmp) / "change"}
+        build_side(roots["parent"], parent_commit)
+        build_side(roots["change"], None)
         for pair in range(args.pairs):
             seed = seeds[pair % len(seeds)]
             order = ("parent", "change") if pair % 2 == 0 else ("change", "parent")

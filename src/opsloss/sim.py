@@ -38,7 +38,9 @@ to call congestion instead of traffic congestion.
 Each (replication, source) pair owns an independent stream seeded by
 hashing (base_seed, replication, source), so results are reproducible and
 replications are decorrelated. Aggregate estimates are means over
-replication means with Student-t confidence half-widths.
+replication means with 95% Student-t confidence half-widths. Their
+quantiles come from a table of scipy's values for up to 101
+replications, so a simulation loads scipy only beyond that.
 """
 
 from __future__ import annotations
@@ -134,17 +136,58 @@ class SimResult:
     per_source_traffic: tuple[Estimate, ...]
 
 
+# _T975[df - 1] is float(scipy.special.stdtrit(df, 0.975)) for df = 1..100,
+# recorded with scipy 1.17.1 and written as repr literals, so that a table
+# read returns the very float scipy would.
+_T975 = (
+    12.706204736174694, 4.302652729749462, 3.1824463052837078, 2.7764451051977934,
+    2.5705818356363146, 2.4469118511449786, 2.364624251592784, 2.306004135204166,
+    2.262157162798205, 2.228138851986274, 2.200985160091639, 2.1788128296672284,
+    2.1603686564627913, 2.144786687917804, 2.131449545559776, 2.1199052992212546,
+    2.1098155778333156, 2.1009220402410382, 2.0930240544083087, 2.085963447265864,
+    2.0796138447276795, 2.0738730679040254, 2.0686576104190486, 2.0638985616280245,
+    2.0595385527532972, 2.0555294386428735, 2.0518305164802846, 2.0484071417952454,
+    2.045229642132703, 2.0422724563012378, 2.039513446396408, 2.0369333434601016,
+    2.0345152974493383, 2.0322445093177186, 2.030107928250343, 2.0280940009804502,
+    2.0261924630291093, 2.0243941639119694, 2.022690920036761, 2.021075390306273,
+    2.019540970441376, 2.0180817028184443, 2.016692199227824, 2.0153675744437636,
+    2.014103388880846, 2.012895598919429, 2.0117405137297655, 2.010634757624232,
+    2.0095752371292392, 2.008559112100761, 2.007583770315836, 2.006646805061688,
+    2.0057459953178687, 2.0048792881880564, 2.0040447832891455, 2.003240718847872,
+    2.002465459291007, 2.0017174841452356, 2.000995378088267, 2.0002978220142604,
+    1.999623584994939, 1.9989715170333788, 1.998340542520741, 1.997729654317693,
+    1.9971379083920038, 1.9965644189523117, 1.996008354025296, 1.9954689314298435,
+    1.9949454151072374, 1.994437111771186, 1.9939433678456255, 1.9934635666618719,
+    1.992997125889855, 1.992543495180932, 1.9921021540022417, 1.9916726096446642,
+    1.9912543953883846, 1.9908470688116906, 1.9904502102301285, 1.990063421254446,
+    1.9896863234569029, 1.989318557136572, 1.9889597801751624, 1.9886096669757083,
+    1.9882679074772216, 1.98793420623902, 1.9876082815890708, 1.9872898648311692,
+    1.986978699506281, 1.9866745407037683, 1.9863771544186177, 1.98608631695113,
+    1.9858018143458227, 1.985523441866604, 1.9852510035054978, 1.984984311522457,
+    1.9847231860139845, 1.9844674545084815, 1.9842169515864174, 1.9839715185235518,
+)
+
+
 def confidence_interval(samples: Sequence[float]) -> tuple[float, float]:
-    """Mean and 95% Student-t half-width (n-1 degrees of freedom)."""
+    """Mean and 95% Student-t half-width (n-1 degrees of freedom).
+
+    The quantile for up to 100 degrees of freedom (n <= 101) comes from
+    ``_T975``; only a larger sample loads ``scipy.special`` for it. The
+    table holds scipy's own floats, so both paths give the same half-width.
+    """
     xs = [float(x) for x in samples]
     n = len(xs)
     if n < 2:
         raise ValueError("confidence interval needs at least 2 samples")
     mean = math.fsum(xs) / n
     var = math.fsum((x - mean) ** 2 for x in xs) / (n - 1)
-    # Imported here so that only simulation pays for loading scipy.
-    from scipy.special import stdtrit
-    quantile = float(stdtrit(n - 1, 0.975))
+    if n - 1 <= len(_T975):
+        quantile = _T975[n - 2]
+    else:
+        # Imported here so that only a run of more than 101 replications
+        # pays for loading scipy.
+        from scipy.special import stdtrit
+        quantile = float(stdtrit(n - 1, 0.975))
     return mean, quantile * math.sqrt(var / n)
 
 
@@ -166,12 +209,15 @@ def _replicate(spec: SimSpec, replication: int):
     held = spec.mode == "held"
     lam = arrival_intensities(a)
     rngs = _source_rngs(spec, replication)
+    # -log(1 - U) / rate is exactly what random.expovariate computes; inlined
+    # to save a method call per draw, so the streams are unchanged.
+    log = math.log
 
     heap: list[tuple[float, int, int, int]] = []
     seq = 0
     for i in range(m):
         if lam[i] > 0.0:
-            heappush(heap, (rngs[i].expovariate(lam[i]), seq, _ATTEMPT, i))
+            heappush(heap, (-log(1.0 - rngs[i].random()) / lam[i], seq, _ATTEMPT, i))
             seq += 1
 
     n = 0
@@ -199,7 +245,7 @@ def _replicate(spec: SimSpec, replication: int):
         prev = t
         rng = rngs[i]
         if kind == _ATTEMPT:
-            length = rng.expovariate(1.0)
+            length = -log(1.0 - rng.random())
             is_blocked = n >= w
             if t >= warmup:
                 attempts[i] += 1
@@ -209,13 +255,13 @@ def _replicate(spec: SimSpec, replication: int):
                 else:
                     carried[i] += length
             if is_blocked and not held:
-                heappush(heap, (t + rng.expovariate(lam[i]), seq, _ATTEMPT, i))
+                heappush(heap, (t - log(1.0 - rng.random()) / lam[i], seq, _ATTEMPT, i))
             else:
                 n += 1
                 heappush(heap, (t + length, seq, _END, i))
         else:
             n -= 1
-            heappush(heap, (t + rng.expovariate(lam[i]), seq, _ATTEMPT, i))
+            heappush(heap, (t - log(1.0 - rng.random()) / lam[i], seq, _ATTEMPT, i))
         seq += 1
     if n and horizon > max(prev, warmup):
         span = horizon - max(prev, warmup)

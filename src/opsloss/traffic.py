@@ -69,8 +69,16 @@ def tui(loads: LoadVector | Sequence[float]) -> float:
     """Uniformity index (sum A)^2 / (M * sum A^2), in [1/M, 1]."""
     a = as_load_vector(loads).loads
     sum_sq = math.fsum(x * x for x in a)
-    if sum_sq == 0.0:
-        raise ZeroTrafficError("TUI undefined for zero traffic")
+    if sum_sq < 1e-280:
+        # Squares of loads below about 1e-154 lose bits or underflow to zero.
+        # The index is scale-free and scaling by a power of two is exact, so
+        # move the peak into [0.5, 1) and square again.
+        peak = max(a)
+        if peak == 0.0:
+            raise ZeroTrafficError("TUI undefined for zero traffic")
+        shift = -math.frexp(peak)[1]
+        a = [math.ldexp(x, shift) for x in a]
+        sum_sq = math.fsum(x * x for x in a)
     total = math.fsum(a)
     return (total * total) / (len(a) * sum_sq)
 

@@ -330,22 +330,26 @@ def distinct_loads(m, w):
 def mp_lcc_reference(loads, w, source=None):
     """Traffic congestion of the truncated product form at 60 digits.
 
-    Returns the aggregate 1 - E|S| / sum A_i, or with ``source`` given that
-    source's (A_i - P(i on)) / A_i from the ESP of the other sources.
+    With ``source`` given, that source's loss in the form ``engset_lcc``
+    uses, e_W / (g + r_i h) with e_k the ESP of the other sources,
+    g = sum_{k<=W} e_k and h = sum_{k<W} e_k: it has no cancellation, so it
+    stays exact far below a loss of 1e-60. Without ``source``, the aggregate
+    sum_i A_i loss_i / sum_i A_i.
     """
     with mpmath.workdps(60):
-        a = [mpmath.mpf(x) for x in loads]
-        r = [x / (1 - x) for x in a]
-        others = r if source is None else r[:source] + r[source + 1:]
+        if source is None:
+            loss = {}  # equal loads have equal loss
+            for i, x in enumerate(loads):
+                if x not in loss:
+                    loss[x] = mp_lcc_reference(loads, w, source=i)
+            return (mpmath.fsum(mpmath.mpf(x) * loss[x] for x in loads)
+                    / mpmath.fsum(mpmath.mpf(x) for x in loads))
+        r = [mpmath.mpf(x) / (1 - mpmath.mpf(x)) for x in loads]
         e = [mpmath.mpf(1)] + [mpmath.mpf(0)] * w
-        for ri in others:
+        for ri in r[:source] + r[source + 1:]:
             for k in range(w, 0, -1):
                 e[k] += ri * e[k - 1]
-        if source is None:
-            mean = mpmath.fsum(k * ek for k, ek in enumerate(e)) / mpmath.fsum(e)
-            return 1 - mean / mpmath.fsum(a)
-        ratio = r[source] * mpmath.fsum(e[:w]) / mpmath.fsum(e)
-        return 1 - ratio / (1 + ratio) / a[source]
+        return e[w] / (mpmath.fsum(e) + r[source] * mpmath.fsum(e[:w]))
 
 
 def mp_ofl_reference(loads, w, source):
@@ -402,3 +406,52 @@ class TestDeepTailAccuracy:
         for i in range(m):
             assert metrics.per_source_call[i] == pytest.approx(
                 float(mp_ofl_reference(loads, w, i)), rel=1e-12, abs=0.0)
+
+
+def log_uniform(lo, hi):
+    return st.floats(math.log(lo), math.log(hi)).map(math.exp)
+
+
+@st.composite
+def deep_tail_cases(draw):
+    """(loads, W) with 2 <= M <= 16 and 1 <= W < M, from three load
+    families: all distinct, pooled from 1-3 values, and one hot load over
+    equal cold ones."""
+    m = draw(st.integers(2, 16))
+    w = draw(st.integers(1, m - 1))
+    family = draw(st.sampled_from(["distinct", "pooled", "one-hot"]))
+    if family == "distinct":
+        loads = draw(st.lists(log_uniform(1e-4, 0.95), min_size=m, max_size=m, unique=True))
+    elif family == "pooled":
+        pool = draw(st.lists(log_uniform(1e-4, 0.95), min_size=1, max_size=3))
+        loads = draw(st.lists(st.sampled_from(pool), min_size=m, max_size=m))
+    else:
+        loads = [draw(log_uniform(1e-4, 0.1))] * m
+        loads[draw(st.integers(0, m - 1))] = draw(st.floats(0.3, 0.95))
+    return loads, w
+
+
+@given(deep_tail_cases())
+@settings(max_examples=40, deadline=None)
+def test_per_source_deep_tail_matches_mpmath(case):
+    loads, w = case
+    m = len(loads)
+
+    def close(got, ref):
+        assert got == pytest.approx(float(ref), rel=1e-12, abs=0.0)
+
+    lcc_loss = [mp_lcc_reference(loads, w, source=i) for i in range(m)]
+    lcc = engset_lcc(loads, w)
+    close(lcc.traffic_congestion, mp_lcc_reference(loads, w))
+    for got, ref in zip(lcc.per_source_traffic, lcc_loss):
+        close(got, ref)
+    ofl = engset_ofl(loads, w)
+    for i in range(m):
+        close(ofl.per_source_call[i], mp_ofl_reference(loads, w, i))
+    # The classical model on M equal copies of the first load.
+    close(engset_classical(m, loads[0], w).traffic_congestion,
+          mp_lcc_reference([loads[0]] * m, w))
+    if sum(math.comb(m, k) for k in range(w + 1)) <= 1000:
+        _, oracle = ctmc_oracle(loads, w)
+        for got, ref in zip(oracle.per_source_traffic, lcc_loss):
+            close(got, ref)

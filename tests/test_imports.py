@@ -1,4 +1,9 @@
-"""Start-up cost: scipy stays off the import path of analytic work."""
+"""Start-up cost: scipy stays off the import path.
+
+Analytic work never loads it, and a simulation loads it only for a
+confidence interval over more than 101 replications, beyond the table of
+Student-t quantiles in ``opsloss.sim``.
+"""
 
 import json
 import os
@@ -31,6 +36,22 @@ def scipy_modules_after(code: str) -> list[str]:
     # process tens of megabytes and a third of a second.
     "from opsloss.cli import main\n"
     "assert main(['analyze', '--loads', '0.4,0.3,0.2,0.1', '--w', '2', '--model', 'oracle']) == 0",
+    "from opsloss.cli import main\n"
+    "assert main(['simulate', '--loads', '0.4,0.3', '--w', '1', '--mode', 'cleared',"
+    " '--reps', '3', '--horizon', '50']) == 0",
+    "from opsloss.cli import main\n"
+    "assert main(['simulate', '--loads', '0.4,0.3', '--w', '1', '--mode', 'held',"
+    " '--reps', '10', '--horizon', '50']) == 0",
+    "from opsloss.cli import main\n"
+    "assert main(['sweep', '--preset', 'fig6', '--models', 'sim-cleared',"
+    " '--horizon', '50']) == 0",
 ])
 def test_no_scipy_loaded(code):
     assert scipy_modules_after(code) == []
+
+
+def test_large_interval_loads_scipy():
+    # 102 samples have 101 degrees of freedom, one past the quantile table.
+    code = ("from opsloss import confidence_interval\n"
+            "confidence_interval([i / 102 for i in range(102)])")
+    assert "scipy.special" in scipy_modules_after(code)

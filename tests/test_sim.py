@@ -7,6 +7,7 @@ import pytest
 
 from opsloss import (EstimationError, LoadVector, SimSpec, confidence_interval,
                      engset_lcc, engset_ofl, make_load_vector, simulate)
+from opsloss.sim import _T975
 
 REF_SPEC = dict(horizon=2e4, warmup=2e3, replications=10, base_seed=101)
 
@@ -57,6 +58,24 @@ class TestConfidenceInterval:
         assert float(stdtrit(9, 0.975)) == 2.262157162798205
         samples = [0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9, 1.0]
         assert confidence_interval(samples) == (0.55, 0.2165850589668169)
+
+    def test_quantile_table_is_scipy_bit_for_bit(self):
+        from scipy.special import stdtrit
+        assert len(_T975) == 100
+        for df in range(1, 101):
+            assert _T975[df - 1] == float(stdtrit(df, 0.975)), df
+
+    @pytest.mark.parametrize("n", [2, 101, 102])
+    def test_table_and_scipy_intervals_agree(self, n):
+        # n = 101 reads the table's last entry; n = 102 falls back to scipy.
+        from scipy.special import stdtrit
+        import random
+        rng = random.Random(n)
+        samples = [rng.uniform(0, 1) for _ in range(n)]
+        mean = math.fsum(samples) / n
+        var = math.fsum((x - mean) ** 2 for x in samples) / (n - 1)
+        hw = float(stdtrit(n - 1, 0.975)) * math.sqrt(var / n)
+        assert confidence_interval(samples) == (mean, hw)
 
     def test_requires_two_samples(self):
         with pytest.raises(ValueError):

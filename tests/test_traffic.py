@@ -47,6 +47,11 @@ class TestTui:
     def test_single_active_source_is_one_over_m(self):
         assert tui([0.8, 0.0]) == pytest.approx(0.5, abs=1e-15)
 
+    def test_tiny_loads_keep_their_index(self):
+        # Squares of loads this small underflow to zero in double precision.
+        assert tui([1.6570729942378625e-162]) == 1.0
+        assert tui([1e-170, 3e-170]) == pytest.approx(0.8, rel=1e-15)
+
     def test_zero_traffic_rejected(self):
         with pytest.raises(ZeroTrafficError, match="TUI undefined"):
             tui([0.0, 0.0])
