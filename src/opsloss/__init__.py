@@ -13,23 +13,21 @@ from .errors import (EstimationError, InfeasibleTuiError, StateSpaceError,
                      ZeroTrafficError)
 from .sim import (Estimate, ReplicationStats, SimResult, SimSpec,
                   confidence_interval, simulate)
-from .sweep import (ANALYTIC_MODELS, CSV_HEADER, METRICS, MODELS, ModelError, SimSettings,
+from .sweep import (ANALYTIC_MODELS, CSV_HEADER, METRICS, MODELS, SimSettings,
                     SweepRow, SweepSpec, default_tui_grid, make_preset,
-                    preset_names, rows_to_csv, run_sweep,
-                    traditional_model_error)
+                    preset_names, rows_to_csv, run_sweep)
 from .traffic import (LoadVector, arrival_intensities, as_load_vector,
                       make_load_vector, min_feasible_tui, tui)
 
 __all__ = [
     "ANALYTIC_MODELS", "BlockingMetrics", "CSV_HEADER", "CtmcSolution", "Estimate",
     "EstimationError", "InfeasibleTuiError", "LoadVector", "METRICS", "MODELS",
-    "ModelError", "ReplicationStats", "STATE_CAP", "SimResult", "SimSettings",
+    "ReplicationStats", "STATE_CAP", "SimResult", "SimSettings",
     "SimSpec", "StateSpaceError", "SweepRow", "SweepSpec", "ZeroTrafficError",
     "arrival_intensities", "as_load_vector", "confidence_interval", "ctmc_oracle",
     "default_tui_grid", "engset_classical", "engset_lcc", "engset_ofl",
     "make_load_vector", "make_preset", "min_feasible_tui",
-    "preset_names", "rows_to_csv", "run_sweep", "simulate",
-    "traditional_model_error", "tui",
+    "preset_names", "rows_to_csv", "run_sweep", "simulate", "tui",
 ]
 
 __version__ = "0.1.0"

@@ -32,17 +32,22 @@ once per class, not once per source, on one core:
   suffix row is kept, s = isqrt(classes); each block of s classes
   rebuilds its rows from the kept row on its right by the same products,
   bit for bit. Cost O(classes * W^2) time and O(sqrt(classes) * W + M)
-  memory (the rows, and each class's factor of at most W + 1
-  coefficients); the paper's one-hot loads have two classes, all-distinct
-  loads M classes of one source each.
+  memory (the rows, and the class factors: a factor keeps at most W + 1
+  coefficients but holds the buffer of all n_c + 1 binomial terms); the
+  paper's one-hot loads have two classes, all-distinct loads M classes of
+  one source each.
 - The models differ in what happens above degree W. LCC drops those
   degrees (the truncated product form). OFL folds them into degree W, so
   coefficient W holds the overflow states N >= W; folding commutes with
   the products, and a class's blocking P(N without i >= W) is the top
   coefficient of its leave-one-out product over that product's sum.
-- OFL's time congestion and E[(N-W)+] need the whole law of N: one more
-  rolling product of the class factors at full degree, O(M^2) time and
-  O(M) memory on all-distinct loads.
+- OFL's aggregates come from the same walk. Time congestion is the top
+  coefficient of the folded full product over its sum. With the sources
+  in class order, (N-W)+ counts the active sources that find at least W
+  active sources before them, so class c adds
+  sum_{j>=1} P(X_c >= j) P(N_<c >= W-j+1), X_c ~ Bin(n_c, A_c), where
+  N_<c has the law of the class's prefix row; the terms with j > W sum
+  to E[(X_c-W)+].
 
 Every step adds or multiplies nonnegative numbers.
 Every table row is rescaled by its peak when it grows past 1e150; all
@@ -299,29 +304,47 @@ def engset_ofl(loads: LoadVector | Sequence[float], w: int) -> BlockingMetrics:
     per-source call    = P(N without i >= W), the blocking seen by an
                          arrival of source i; losses are apportioned the
                          same way (per-source traffic = per-source call)
+
+    All three come from one walk over the load classes, with degrees >= W
+    folded into degree W. With the sources in class order, (N-W)+ counts
+    the active sources that find at least W active sources before them.
+    So with X_c ~ Bin(n_c, A_c) and N_<c the count before class c (its
+    prefix row), class c adds
+
+        sum_{j=1..min(n_c, W)} P(X_c >= j) P(N_<c >= W-j+1) + E[(X_c-W)+],
+
+    which for a one-source class is A_c P(N_<c >= W).
     """
     a, offered = _validated(loads, w)
+    if w > len(a):  # every source always finds a free channel
+        zeros = (0.0,) * len(a)
+        return BlockingMetrics(0.0, 0.0, 0.0, zeros, zeros)
     classes = _LoadClasses.of(a)
-    kmax = min(w, len(a))
     r = arrival_intensities(classes.loads)
-    _, pairs = _leave_one_out(classes.counts, r, kmax, fold=True)
-    # With degrees >= W folded into degree W, P(N without i >= W) is the
-    # top coefficient of prefix * rest over its sum; with W > M no source
-    # is ever blocked.
-    per_call = [_snap01(float(prefix @ np.cumsum(rest[::-1]))
-                        / (float(prefix.sum()) * float(rest.sum())))
-                if w <= kmax else 0.0
-                for prefix, rest in pairs]
+    full, pairs = _leave_one_out(classes.counts, r, w, fold=True)
+    time_c = _at(full, w) / float(full.sum())
 
-    # The aggregates need the whole law of N: one product at full degree.
-    full = np.ones(1)
-    for n, rc in zip(classes.counts, r):
-        full = _rescaled(np.convolve(full, _binomial_factor(n, rc, n, fold=False)))
-    tail = full[w:]
-    total = float(full.sum())
-    time_c = float(tail.sum()) / total
-    traffic_c = float(np.arange(len(tail)) @ tail) / total / offered  # E[(N-W)+] / E[N]
+    per_call, excess = [], []
+    for (prefix, rest), n, x, rc in zip(pairs, classes.counts, classes.loads, r):
+        # P(N without i >= W) is the top coefficient of prefix * rest over
+        # its sum.
+        total = float(prefix.sum())
+        per_call.append(_snap01(float(prefix @ np.cumsum(rest[::-1]))
+                                / (total * float(rest.sum()))))
+        if n == 1:
+            excess.append(x * _at(prefix, w) / total)
+            continue
+        # Tail sums, each scaled by its law's total: own[j] for
+        # P(X_c >= j), before[k] for P(N_<c >= k), zero above the prefix.
+        own = np.cumsum(_binomial_factor(n, rc, n, fold=False)[::-1])[::-1]
+        before = np.zeros(w + 1)
+        before[:len(prefix)] = np.cumsum(prefix[::-1])[::-1]
+        j = min(n, w)
+        excess.append((float(own[1:j + 1] @ before[w:w - j:-1]) / float(before[0])
+                       + float(own[w + 1:].sum())) / float(own[0]))
+
     call_c = classes.total([x * b for x, b in zip(classes.loads, per_call)]) / offered
+    traffic_c = math.fsum(excess) / offered  # E[(N-W)+] / E[N]
     per_source = classes.per_source(per_call)
     return BlockingMetrics(
         time_congestion=_snap01(time_c),

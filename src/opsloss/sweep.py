@@ -213,56 +213,6 @@ def rows_to_csv(rows: list[SweepRow]) -> str:
 
 
 # ----------------------------------------------------------------------
-# Model-error analysis
-
-@dataclass(frozen=True)
-class ModelError:
-    """Classical-baseline error against a reference model at one grid point."""
-
-    m: int
-    w: int
-    a: float
-    tui: float
-    metric: str
-    classical_value: float
-    reference_value: float
-    abs_error: float
-    rel_error: float
-
-
-def traditional_model_error(rows: list[SweepRow], reference: str = "lcc") -> list[ModelError]:
-    """Pair classical rows with a reference model at matching grid points.
-
-    Relative error is abs_error / reference (inf when the reference is 0
-    and the error is not). Raises when a classical row has no counterpart.
-    """
-    keyed: dict[tuple, dict[str, float]] = {}
-    for row in rows:
-        if row.status != "ok" or row.value is None:
-            continue
-        key = (row.name, row.m, row.w, row.a, row.tui, row.metric)
-        keyed.setdefault(key, {})[row.model] = row.value
-    out: list[ModelError] = []
-    for key in sorted(keyed, key=lambda k: (k[0], k[1], k[2], k[4] or 0.0, k[5])):
-        models = keyed[key]
-        if "classical" not in models:
-            continue
-        if reference not in models:
-            raise ValueError(f"no {reference!r} row paired with classical at grid point {key}")
-        name, m, w, a, tui_v, metric = key
-        c, ref = models["classical"], models[reference]
-        abs_err = abs(c - ref)
-        if ref > 0.0:
-            rel = abs_err / ref
-        else:
-            rel = 0.0 if abs_err == 0.0 else math.inf
-        out.append(ModelError(m=m, w=w, a=a, tui=tui_v, metric=metric,
-                              classical_value=c, reference_value=ref,
-                              abs_error=abs_err, rel_error=rel))
-    return out
-
-
-# ----------------------------------------------------------------------
 # Presets
 
 _PRESETS: dict[str, SweepSpec] = {

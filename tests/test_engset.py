@@ -352,16 +352,34 @@ def mp_lcc_reference(loads, w, source=None):
         return e[w] / (mpmath.fsum(e) + r[source] * mpmath.fsum(e[:w]))
 
 
+def mp_esp(loads):
+    """Full-degree ESP e_0..e_M of the odds A / (1 - A) at 60 digits; call
+    it under ``mpmath.workdps(60)``."""
+    r = [mpmath.mpf(x) / (1 - mpmath.mpf(x)) for x in loads]
+    e = [mpmath.mpf(1)] + [mpmath.mpf(0)] * len(r)
+    for n, ri in enumerate(r, 1):
+        for k in range(n, 0, -1):
+            e[k] += ri * e[k - 1]
+    return e
+
+
 def mp_ofl_reference(loads, w, source):
     """P(N without ``source`` >= W) of the overflow model at 60 digits, from
     the full-degree ESP of the other sources."""
     with mpmath.workdps(60):
-        r = [mpmath.mpf(x) / (1 - mpmath.mpf(x)) for i, x in enumerate(loads) if i != source]
-        e = [mpmath.mpf(1)] + [mpmath.mpf(0)] * len(r)
-        for n, ri in enumerate(r, 1):
-            for k in range(n, 0, -1):
-                e[k] += ri * e[k - 1]
+        e = mp_esp(loads[:source] + loads[source + 1:])
         return mpmath.fsum(e[w:]) / mpmath.fsum(e)
+
+
+def mp_ofl_aggregates(loads, w):
+    """Time congestion P(N >= W) and traffic congestion E[(N-W)+] / E[N] of
+    the overflow model at 60 digits."""
+    with mpmath.workdps(60):
+        e = mp_esp(loads)
+        total = mpmath.fsum(e)
+        excess = mpmath.fsum((k - w) * e[k] for k in range(w + 1, len(e)))
+        return (mpmath.fsum(e[w:]) / total,
+                excess / total / mpmath.fsum(mpmath.mpf(x) for x in loads))
 
 
 class TestDeepTailAccuracy:
@@ -397,6 +415,11 @@ class TestDeepTailAccuracy:
             ref = mp_ofl_reference(loads, 64, i)
             assert 1e-19 < float(ref) < 1e-16
             assert metrics.per_source_call[i] == pytest.approx(float(ref), rel=1e-12, abs=0.0)
+        # The cold class of 255 sources is larger than W, so its own
+        # E[(X_c - W)+] enters the traffic congestion.
+        time_ref, traffic_ref = mp_ofl_aggregates(loads, 64)
+        assert metrics.time_congestion == pytest.approx(float(time_ref), rel=1e-12, abs=0.0)
+        assert metrics.traffic_congestion == pytest.approx(float(traffic_ref), rel=1e-12, abs=0.0)
 
     @pytest.mark.parametrize("m, w", [(32, 31), (24, 22)])
     def test_distinct_ofl_per_source_matches_mpmath(self, m, w):
@@ -448,6 +471,9 @@ def test_per_source_deep_tail_matches_mpmath(case):
     ofl = engset_ofl(loads, w)
     for i in range(m):
         close(ofl.per_source_call[i], mp_ofl_reference(loads, w, i))
+    time_ref, traffic_ref = mp_ofl_aggregates(loads, w)
+    close(ofl.time_congestion, time_ref)
+    close(ofl.traffic_congestion, traffic_ref)
     # The classical model on M equal copies of the first load.
     close(engset_classical(m, loads[0], w).traffic_congestion,
           mp_lcc_reference([loads[0]] * m, w))

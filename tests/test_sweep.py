@@ -1,4 +1,4 @@
-"""Sweep engine: grids, presets, CSV contract, baseline-error analysis."""
+"""Sweep engine: grids, presets, CSV contract."""
 
 import dataclasses
 import hashlib
@@ -7,9 +7,8 @@ import math
 import pytest
 
 from opsloss import (Estimate, SimSettings, SimSpec, SweepRow, SweepSpec, default_tui_grid,
-                     engset_classical, engset_lcc, make_load_vector, make_preset,
-                     preset_names, rows_to_csv, run_sweep, simulate,
-                     traditional_model_error, CSV_HEADER)
+                     make_load_vector, make_preset, preset_names, rows_to_csv, run_sweep,
+                     simulate, CSV_HEADER)
 from opsloss.cli import main
 
 FAST_SIM = SimSettings(horizon=2e3, warmup=2e2, replications=3, base_seed=1)
@@ -165,39 +164,6 @@ class TestCsvContract:
         line = rows_to_csv([row]).splitlines()[1]
         assert line.split(",")[7] == ""   # value
         assert line.split(",")[8] == ""   # ci_half_width
-
-
-class TestTraditionalModelError:
-    def test_zero_error_under_symmetry(self):
-        rows = run_sweep(SweepSpec(name="t", m=8, w_values=(1, 2), per_wavelength_load=0.5,
-                                   tui_values=(1.0,), models=("classical", "lcc")))
-        for err in traditional_model_error(rows):
-            assert err.abs_error <= 1e-12
-            assert err.rel_error <= 1e-10
-
-    def test_positive_error_under_asymmetry(self):
-        rows = run_sweep(SweepSpec(name="t", m=8, w_values=(1,), per_wavelength_load=0.5,
-                                   tui_values=(0.6,), models=("classical", "lcc")))
-        errs = [e for e in traditional_model_error(rows) if e.metric == "traffic"]
-        assert len(errs) == 1
-        assert errs[0].rel_error > 0.0
-        expected = abs(engset_classical(8, 0.5 / 8, 1).traffic_congestion
-                       - engset_lcc(make_load_vector(8, 0.5, 0.6), 1).traffic_congestion)
-        assert errs[0].abs_error == pytest.approx(expected, abs=1e-12)
-
-    def test_error_grows_with_w_at_low_uniformity(self):
-        rows = run_sweep(SweepSpec(name="t", m=32, w_values=(2, 4, 8),
-                                   per_wavelength_load=0.5, tui_values=(0.6,),
-                                   models=("classical", "lcc")))
-        errs = {e.w: e.rel_error for e in traditional_model_error(rows)
-                if e.metric == "traffic"}
-        assert errs[8] > errs[4] > errs[2]
-
-    def test_missing_counterpart_raises(self):
-        rows = run_sweep(SweepSpec(name="t", m=4, w_values=(1,), per_wavelength_load=0.5,
-                                   tui_values=(1.0,), models=("classical",)))
-        with pytest.raises(ValueError, match="grid point"):
-            traditional_model_error(rows)
 
 
 class TestPresets:
