@@ -9,21 +9,21 @@ loss.
 
 from .ctmc import STATE_CAP, CtmcSolution, ctmc_oracle
 from .engset import BlockingMetrics, engset_classical, engset_lcc, engset_ofl
-from .errors import (EstimationError, InfeasibleTuiError, StateSpaceError,
-                     ZeroTrafficError)
+from .errors import (EstimationError, InfeasibleTuiError, SourceCountError,
+                     StateSpaceError, ZeroTrafficError)
 from .sim import (Estimate, ReplicationStats, SimResult, SimSpec,
                   confidence_interval, simulate)
 from .sweep import (ANALYTIC_MODELS, CSV_HEADER, METRICS, MODELS, SimSettings,
                     SweepRow, SweepSpec, default_tui_grid, make_preset,
                     preset_names, rows_to_csv, run_sweep)
-from .traffic import (LoadVector, arrival_intensities, as_load_vector,
+from .traffic import (SOURCE_CAP, LoadVector, arrival_intensities, as_load_vector,
                       make_load_vector, min_feasible_tui, tui)
 
 __all__ = [
     "ANALYTIC_MODELS", "BlockingMetrics", "CSV_HEADER", "CtmcSolution", "Estimate",
     "EstimationError", "InfeasibleTuiError", "LoadVector", "METRICS", "MODELS",
-    "ReplicationStats", "STATE_CAP", "SimResult", "SimSettings",
-    "SimSpec", "StateSpaceError", "SweepRow", "SweepSpec", "ZeroTrafficError",
+    "ReplicationStats", "SOURCE_CAP", "STATE_CAP", "SimResult", "SimSettings", "SimSpec",
+    "SourceCountError", "StateSpaceError", "SweepRow", "SweepSpec", "ZeroTrafficError",
     "arrival_intensities", "as_load_vector", "confidence_interval", "ctmc_oracle",
     "default_tui_grid", "engset_classical", "engset_lcc", "engset_ofl",
     "make_load_vector", "make_preset", "min_feasible_tui",

@@ -20,11 +20,12 @@ numbers and small state probabilities keep their relative accuracy.
 
 Only the R_k blocks below the top level are kept (R_K = U_{K-1} / K
 is applied through the moves themselves): sum over k < K of n_{k-1} n_k
-doubles, plus one level's working set, its return rates (n_{k-1}^2) and
-the elimination's copies. The work is O(sum n_k^3 + n_k^2 n_{k-1}) for
-the solve and O(M n_W) for the per-source loss sums. On one core of a
-2-vCPU x86_64 VM, M=12, W=6 (2,510 states) peaks at about 19 MB and takes
-0.16 s, and M=13, W=6 (4,096 states) about 48 MB and 0.33 s.
+doubles, plus one (n_{k-1} + n_{k-2}) x n_{k-1} buffer per level, solved
+in place and dropped once R_{k-1} is copied out. The work is
+O(sum n_k^3 + n_k^2 n_{k-1}) for the solve and O(M n_W) for the
+per-source loss sums. On one core of a 2-vCPU x86_64 VM, M=12, W=6 (2,510
+states) peaks at 12.0 MB and takes 0.14-0.20 s, and M=13, W=6 (4,096
+states) at 28.9 MB and 0.39-0.44 s.
 STATE_CAP = 5,000 bounds the chain; larger ones end in StateSpaceError.
 """
 
@@ -111,25 +112,26 @@ class _Moves:
         return slice(self.starts[i], self.starts[i + 1])
 
 
-def _solve_right(off: np.ndarray, slack: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    """X with X N = rhs, for N the M-matrix with off-diagonal -off (off >= 0,
-    its diagonal ignored) and row sums slack > 0.
+def _solve_right(a: np.ndarray, n: int, slack: np.ndarray) -> None:
+    """Overwrite a[n:] with X, X N = a[n:], for N the n x n M-matrix with
+    off-diagonal -a[:n] (a[:n] >= 0, its diagonal ignored, used up as
+    scratch) and row sums slack > 0.
 
-    Block elimination that never forms N's diagonal: eliminating the
-    first block leaves a Schur complement whose off-diagonal part and row
-    sums are sums of nonnegative products, so nothing cancels.
+    Block elimination in place that never forms N's diagonal: eliminating
+    the first block leaves a Schur complement whose off-diagonal part and
+    row sums are sums of nonnegative products, so nothing cancels. Beyond
+    a (the oracle's one buffer per level) it holds one matmul product at a time.
     """
-    n = len(slack)
     if n == 1:
-        return rhs / slack[0]
+        a[1:] /= slack[0]
+        return
     h = n // 2
-    o11, o12, o21, o22 = off[:h, :h], off[:h, h:], off[h:, :h], off[h:, h:]
-    # Y = [O21; rhs1] N11^{-1}; N11's row sums are slack1 + O12's row sums.
-    y = _solve_right(o11, slack[:h] + o12.sum(axis=1), np.vstack([o21, rhs[:, :h]]))
-    y_off, y_rhs = y[:n - h], y[n - h:]
-    schur = o22 + y_off @ o12
-    x2 = _solve_right(schur, slack[h:] + y_off @ slack[:h], rhs[:, h:] + y_rhs @ o12)
-    return np.hstack([y_rhs + x2 @ y_off, x2])
+    # Y = [O21; rhs1] N11^{-1} into a[h:, :h]; N11's row sums are slack1 + O12's.
+    _solve_right(a[:, :h], h, slack[:h] + a[:h, h:].sum(axis=1))
+    a[h:n, h:] += a[h:n, :h] @ a[:h, h:]  # the Schur complement
+    a[n:, h:] += a[n:, :h] @ a[:h, h:]  # and its right-hand side
+    _solve_right(a[h:, h:], n - h, slack[h:] + a[h:n, :h] @ slack[:h])
+    a[n:, :h] += a[n:, h:] @ a[h:n, :h]
 
 
 def ctmc_oracle(loads: LoadVector | Sequence[float],
@@ -149,32 +151,30 @@ def ctmc_oracle(loads: LoadVector | Sequence[float],
     sizes = [len(level) for level in levels]
     last = moves[top]  # into the top level
 
-    def activations(k: int) -> np.ndarray:
-        """U_{k-1}: rates from level k-1 up to level k."""
-        up = np.zeros((sizes[k - 1], sizes[k]))
-        up[moves[k].ridx, moves[k].cidx] = lam[moves[k].src]
-        return up
-
     # No activation leaves the top level (W busy, or every source on), so
     # N_top = top I and R_top = U_{top-1} / top stays implicit.
     r = [None] * top
     for k in range(top, 1, -1):
-        # Rates of leaving level k-1 upward and first returning to it:
-        # R_k D_k, whose diagonal (returns to the same state) drops out.
-        ret = np.zeros((sizes[k - 1], sizes[k - 1]))
+        # Rows :n take the rates of leaving level k-1 upward and first returning
+        # to it, R_k D_k (the diagonal drops out); rows n: take U_{k-2}, end as R_{k-1}.
+        n = sizes[k - 1]
+        st = np.zeros((n + sizes[k - 2], n))
         if k == top:
             # Through top state c, from c less one member to c less
             # another: the two fix c, so no pair repeats.
             for p, q in permutations(range(top), 2):
-                ret[last.lower[:, p], last.lower[:, q]] = lam[levels[top][:, p]] / top
+                st[last.lower[:, p], last.lower[:, q]] = lam[levels[top][:, p]] / top
         else:
             # For one source the moves pair distinct states, so no index
             # repeats within an add.
             mv = moves[k]
             for i in range(m):
-                ret[:, mv.ridx[mv.of(i)]] += r[k][:, mv.cidx[mv.of(i)]]
-        r[k - 1] = _solve_right(ret, np.full(sizes[k - 1], float(k - 1)), activations(k - 1))
-        del ret
+                st[:n, mv.ridx[mv.of(i)]] += r[k][:, mv.cidx[mv.of(i)]]
+        mv = moves[k - 1]
+        st[n + mv.ridx, mv.cidx] = lam[mv.src]
+        _solve_right(st, n, np.full(n, float(k - 1)))
+        r[k - 1] = st[n:].copy()
+        del st
 
     pis = [np.ones(1)]
     for k in range(1, top):

@@ -35,5 +35,9 @@ class StateSpaceError(ValueError):
     """Explicit state enumeration would exceed the configured cap."""
 
 
+class SourceCountError(ValueError):
+    """More sources than a cap set from their measured memory cost."""
+
+
 class EstimationError(RuntimeError):
     """A simulation produced no usable observations."""

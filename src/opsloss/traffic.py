@@ -22,11 +22,15 @@ import math
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from .errors import InfeasibleTuiError, ZeroTrafficError
+from .errors import InfeasibleTuiError, SourceCountError, ZeroTrafficError
 
 # Bisection stops when the uniformity index is matched this closely.
 TUI_TOLERANCE = 1e-10
 _MAX_BISECTION_STEPS = 200
+# Most sources make_load_vector builds. Synthesis itself peaks at about
+# 17 bytes per source, but `opsloss tui` prints every load and grows by
+# about 122 bytes of max RSS per source, so at the cap it needs about 2 GB.
+SOURCE_CAP = 2 ** 24
 
 
 @dataclass(frozen=True)
@@ -136,10 +140,14 @@ def make_load_vector(m: int, total_load: float, target_tui: float) -> LoadVector
     Uses the one-hot-spot family: weight p on the hot source and
     (1-p)/(M-1) on each cold source, with p found by bisection so that the
     index matches ``target_tui`` to within TUI_TOLERANCE. Raises
-    InfeasibleTuiError when the implied hot-source load reaches 1.
+    InfeasibleTuiError when the implied hot-source load reaches 1, and
+    SourceCountError, before building anything, when M > SOURCE_CAP.
     """
     if m < 1:
         raise ValueError("M must be >= 1")
+    if m > SOURCE_CAP:
+        raise SourceCountError(f"M={m} sources exceed the load-synthesis cap "
+                               f"SOURCE_CAP={SOURCE_CAP}")
     if total_load <= 0 or not math.isfinite(total_load):
         raise ValueError("total_load must be positive")
     lo = 1.0 / m

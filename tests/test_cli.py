@@ -3,12 +3,14 @@
 import os
 import subprocess
 import sys
+import time
+import tracemalloc
 from pathlib import Path
 
 import pytest
 
 import opsloss
-from opsloss import ANALYTIC_MODELS, make_preset, preset_names
+from opsloss import ANALYTIC_MODELS, SOURCE_CAP, make_preset, preset_names
 from opsloss.cli import main
 
 SRC = Path(opsloss.__file__).resolve().parent.parent
@@ -25,6 +27,23 @@ class TestTuiCommand:
         code, out, _ = run_cli(capsys, "tui", "--loads", "0.7,0.1")
         assert code == 0
         assert out == "0.640000000\n"
+
+    def test_oversized_synthesis_exits_2(self, capsys):
+        # Just past the cap the loads alone would take 134 MB.
+        m = SOURCE_CAP + 1
+        tracemalloc.start()
+        start = time.perf_counter()
+        try:
+            code, out, err = run_cli(capsys, "tui", "--m", str(m), "--total", "0.5",
+                                     "--tui", "0.5")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert time.perf_counter() - start < 1.0
+        assert peak < 1e6
+        assert code == 2
+        assert out == ""
+        assert f"M={m} sources exceed the load-synthesis cap SOURCE_CAP={SOURCE_CAP}" in err
 
     def test_synthesize_loads(self, capsys):
         code, out, _ = run_cli(capsys, "tui", "--m", "2", "--total", "0.8", "--tui", "1.0")

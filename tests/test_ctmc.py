@@ -6,9 +6,11 @@ import random
 import tracemalloc
 
 import mpmath
+import numpy as np
 import pytest
 
 from opsloss import STATE_CAP, StateSpaceError, ZeroTrafficError, ctmc_oracle, engset_lcc
+from opsloss.ctmc import _solve_right
 
 
 def test_symmetric_stationary_distribution():
@@ -135,17 +137,48 @@ def test_deep_tail_heterogeneous_loss_matches_mpmath_lu():
     assert sol.stationary == pytest.approx([float(p) for p in pi], rel=1e-12, abs=0.0)
 
 
-def test_level_solve_memory_on_twelve_sources():
-    # M=12, W=6: 2,510 states. The level solve keeps the R_k blocks below
-    # the top level and one level's working copies, about 19 MB; a dense
-    # generator and its LU copy took 51 MB.
-    loads = [0.05 + 0.025 * i for i in range(12)]
+@pytest.mark.parametrize("n", [1, 2, 7, 13])
+def test_solve_right_matches_dense_solve(n):
+    rng = np.random.default_rng(n)
+    r = n + 3
+    off = rng.uniform(0.0, 2.0, (n, n))
+    slack = rng.uniform(0.1, 1.0, n)
+    mat = -off.copy()
+    np.fill_diagonal(mat, slack + off.sum(axis=1) - off.diagonal())
+    rhs = rng.uniform(0.0, 1.0, (r, n))
+    a = np.vstack([off, rhs])
+    np.fill_diagonal(a, 1e3)  # off's diagonal is ignored
+    assert _solve_right(a, n, slack) is None
+    want = np.linalg.solve(mat.T, rhs.T).T
+    np.testing.assert_allclose(a[n:], want, rtol=1e-12, atol=0.0)
+
+
+def oracle_peak(loads, w):
     tracemalloc.start()
     try:
-        sol, _ = ctmc_oracle(loads, 6)
+        sol, _ = ctmc_oracle(loads, w)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+    return sol, peak
+
+
+def test_level_solve_memory_on_twelve_sources():
+    # M=12, W=6: 2,510 states. The level solve keeps the R_k blocks below
+    # the top level and solves each level in place in one stacked buffer,
+    # about 12 MB; copying the blocks at each elimination step took 19 MB,
+    # and a dense generator with its LU copy 51 MB.
+    sol, peak = oracle_peak([0.05 + 0.025 * i for i in range(12)], 6)
     assert len(sol.states) == 2510
     assert sol.balance_residual < 1e-9
-    assert peak < 30e6
+    assert peak < 14e6
+
+
+def test_level_solve_memory_on_largest_capped_chain():
+    # M=13, W=6: 4,096 states, the largest stacked buffer (1,287 + 715
+    # rows of 1,287) of any chain under STATE_CAP. About 29 MB; copying
+    # the blocks at each elimination step took 48 MB.
+    sol, peak = oracle_peak([0.05 + 0.025 * i for i in range(13)], 6)
+    assert len(sol.states) == 4096
+    assert sol.balance_residual < 1e-9
+    assert peak < 34e6

@@ -6,8 +6,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from opsloss import (InfeasibleTuiError, LoadVector, ZeroTrafficError, arrival_intensities,
-                     make_load_vector, min_feasible_tui, tui)
+from opsloss import (SOURCE_CAP, InfeasibleTuiError, LoadVector, SourceCountError,
+                     ZeroTrafficError, arrival_intensities, make_load_vector, min_feasible_tui,
+                     tui)
 
 
 def closed_form_hot_weight(m: int, target: float) -> float:
@@ -112,6 +113,13 @@ class TestMakeLoadVector:
     def test_no_vector_at_all_when_total_reaches_m(self):
         with pytest.raises(InfeasibleTuiError):
             make_load_vector(2, 2.0, 1.0)
+
+    def test_source_cap_names_cap_and_size(self):
+        # tests/test_cli.py shows that nothing large is built on the way.
+        assert SOURCE_CAP >= 10**7
+        m = SOURCE_CAP + 1
+        with pytest.raises(SourceCountError, match=f"M={m} .*SOURCE_CAP={SOURCE_CAP}"):
+            make_load_vector(m, 0.5, 0.5)
 
     @given(st.integers(2, 32), st.sampled_from([0.3, 0.5, 0.8, 2.0, 5.0]),
            st.floats(0.02, 1.0))
