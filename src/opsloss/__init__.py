@@ -11,18 +11,17 @@ from .ctmc import STATE_CAP, CtmcSolution, ctmc_oracle
 from .engset import BlockingMetrics, engset_classical, engset_lcc, engset_ofl
 from .errors import (EstimationError, InfeasibleTuiError, SourceCountError,
                      StateSpaceError, ZeroTrafficError)
-from .sim import (Estimate, ReplicationStats, SimResult, SimSpec,
+from .sim import (SIM_SOURCE_CAP, Estimate, ReplicationStats, SimResult, SimSpec,
                   confidence_interval, simulate)
-from .sweep import (ANALYTIC_MODELS, CSV_HEADER, METRICS, MODELS, SimSettings,
-                    SweepRow, SweepSpec, default_tui_grid, make_preset,
-                    preset_names, rows_to_csv, run_sweep)
+from .sweep import (ANALYTIC_MODELS, CSV_HEADER, METRICS, MODELS, SweepRow, SweepSpec,
+                    default_tui_grid, make_preset, preset_names, rows_to_csv, run_sweep)
 from .traffic import (SOURCE_CAP, LoadVector, arrival_intensities, as_load_vector,
                       make_load_vector, min_feasible_tui, tui)
 
 __all__ = [
     "ANALYTIC_MODELS", "BlockingMetrics", "CSV_HEADER", "CtmcSolution", "Estimate",
     "EstimationError", "InfeasibleTuiError", "LoadVector", "METRICS", "MODELS",
-    "ReplicationStats", "SOURCE_CAP", "STATE_CAP", "SimResult", "SimSettings", "SimSpec",
+    "ReplicationStats", "SIM_SOURCE_CAP", "SOURCE_CAP", "STATE_CAP", "SimResult", "SimSpec",
     "SourceCountError", "StateSpaceError", "SweepRow", "SweepSpec", "ZeroTrafficError",
     "arrival_intensities", "as_load_vector", "confidence_interval", "ctmc_oracle",
     "default_tui_grid", "engset_classical", "engset_lcc", "engset_ofl",

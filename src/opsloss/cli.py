@@ -11,7 +11,7 @@ the subcommand's flags without the dashes (``seed = 7`` for
 so a bad value is the same usage error; unknown keys are rejected.
 
 Simulation settings that are not given keep the defaults of
-``SimSettings``. The base seed comes from ``--seed``, else from a sweep
+``SimSpec``. The base seed comes from ``--seed``, else from a sweep
 spec file's ``seed``, else from the ENGSET_SEED environment variable,
 else 0.
 """
@@ -19,16 +19,15 @@ else 0.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import math
 import os
 import sys
 
 from .ctmc import ctmc_oracle
 from .errors import EstimationError
-from .sim import MODES
-from .sweep import (ANALYTIC_MODELS, MODELS, SimSettings, SweepSpec, evaluate, make_preset,
-                    metric_rows, preset_names, rows_to_csv, run_sweep)
+from .sim import MODES, SimSpec, simulate
+from .sweep import (ANALYTIC_MODELS, MODELS, SweepSpec, make_preset, metric_rows, preset_names,
+                    rows_to_csv, run_sweep)
 from .traffic import LoadVector, make_load_vector, tui as compute_tui
 
 # The sweep's analytic models plus the brute-force oracle.
@@ -94,19 +93,19 @@ def _apply_config(parser: argparse.ArgumentParser, args: argparse.Namespace) -> 
             setattr(args, key, getattr(parsed, key))
 
 
-# Simulation flag -> SimSettings field.
+# Simulation flag -> SimSpec field.
 _SIM_FLAGS = {"horizon": "horizon", "warmup": "warmup", "reps": "replications",
               "seed": "base_seed"}
 
 
-def _sim_settings(sim: SimSettings, args: argparse.Namespace, **file_values) -> SimSettings:
-    """``sim`` with ``file_values`` and then the simulation flags that were
-    given; with a seed from neither, the seed is $ENGSET_SEED or 0."""
-    changes = {**file_values, **{field: getattr(args, flag) for flag, field in _SIM_FLAGS.items()
-                                 if getattr(args, flag) is not None}}
-    if "base_seed" not in changes:
+def _sim_settings(args: argparse.Namespace, seeded: bool = False) -> dict:
+    """The SimSpec fields the simulation flags give; with a seed from
+    neither them nor (``seeded``) a spec file, the seed is $ENGSET_SEED or 0."""
+    changes = {field: getattr(args, flag) for flag, field in _SIM_FLAGS.items()
+               if getattr(args, flag) is not None}
+    if not seeded and "base_seed" not in changes:
         changes["base_seed"] = _default_seed()
-    return dataclasses.replace(sim, **changes)
+    return changes
 
 
 # ----------------------------------------------------------------------
@@ -122,7 +121,9 @@ def cmd_tui(args: argparse.Namespace) -> int:
     if any(v is None for v in synth):
         raise ValueError("provide either --loads or all of --m, --total and --tui")
     loads = make_load_vector(args.m, args.total, args.tui)
-    print(",".join(repr(x) for x in loads))
+    # The one-hot family has two distinct loads: format each value once.
+    text = {x: repr(x) for x in dict.fromkeys(loads)}
+    print(",".join([text[x] for x in loads]))
     return 0
 
 
@@ -143,12 +144,11 @@ def cmd_analyze(args: argparse.Namespace) -> int:
 
 def cmd_simulate(args: argparse.Namespace) -> int:
     _require(args, "loads", "w", "mode")
-    sim = _sim_settings(SimSettings(), args)
-    if sim.replications < 2:
+    spec = SimSpec(args.loads, args.w, args.mode, **_sim_settings(args))
+    if spec.replications < 2:
         raise ValueError("confidence intervals need at least 2 replications")
-    loads = LoadVector(args.loads)
-    model = f"sim-{args.mode}"
-    res = evaluate(model, loads, args.w, sim)
+    res = simulate(spec)
+    loads, model = spec.loads, f"sim-{args.mode}"
     point = ("simulate", len(loads), args.w, loads.total / args.w, compute_tui(loads), model)
     rows = metric_rows(*point, res)
     for i in range(len(loads)):
@@ -161,13 +161,14 @@ _SPEC_FILE_CONVERTERS = {"name": str, "m": int, "w": _parse_int_list, "load": fl
                          "tui": _parse_float_list, "models": _parse_str_list,
                          "horizon": float, "warmup": float, "replications": int,
                          "seed": _parse_seed}
-# Spec-file keys named unlike their SweepSpec or SimSettings field.
+# Spec-file keys named unlike their SweepSpec field.
 _SPEC_FILE_FIELDS = {"w": "w_values", "load": "per_wavelength_load", "tui": "tui_values",
                      "seed": "base_seed"}
 
 
-def _sweep_spec_from_file(path: str) -> tuple[SweepSpec, dict]:
-    """The spec file's SweepSpec, and its SimSettings fields."""
+def _sweep_spec_fields(path: str) -> dict:
+    """The SweepSpec fields the spec file gives, its name defaulting to the
+    file's stem."""
     entries = _read_key_values(path)
     unknown = sorted(set(entries) - set(_SPEC_FILE_CONVERTERS))
     if unknown:
@@ -178,20 +179,17 @@ def _sweep_spec_from_file(path: str) -> tuple[SweepSpec, dict]:
         if required not in entries:
             raise ValueError(f"sweep spec file is missing required key {required!r}")
     fields.setdefault("name", os.path.splitext(os.path.basename(path))[0])
-    sim = {f.name: fields.pop(f.name) for f in dataclasses.fields(SimSettings) if f.name in fields}
-    return SweepSpec(**fields), sim
+    return fields
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
     if (args.preset is None) == (args.spec is None):
         raise ValueError("provide exactly one of --preset or --spec")
-    if args.preset is not None:
-        spec, file_sim = make_preset(args.preset), {}
-    else:
-        spec, file_sim = _sweep_spec_from_file(args.spec)
+    changes = {} if args.spec is None else _sweep_spec_fields(args.spec)
     overrides = {"per_wavelength_load": args.load, "models": args.models}
-    spec = dataclasses.replace(spec, **{k: v for k, v in overrides.items() if v is not None},
-                               sim=_sim_settings(spec.sim, args, **file_sim))
+    changes.update({k: v for k, v in overrides.items() if v is not None})
+    changes.update(_sim_settings(args, seeded="base_seed" in changes))
+    spec = SweepSpec(**changes) if args.preset is None else make_preset(args.preset, **changes)
     text = rows_to_csv(run_sweep(spec))
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
@@ -230,9 +228,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim.add_argument("--loads", type=_parse_float_list)
     p_sim.add_argument("--w", type=int)
     p_sim.add_argument("--mode", choices=MODES)
-    p_sim.add_argument("--horizon", type=float, help=f"simulated time (default {SimSettings.horizon:g})")
+    p_sim.add_argument("--horizon", type=float, help=f"simulated time (default {SimSpec.horizon:g})")
     p_sim.add_argument("--warmup", type=float, help="default: 10%% of horizon")
-    p_sim.add_argument("--reps", type=int, help=f"replications (default {SimSettings.replications})")
+    p_sim.add_argument("--reps", type=int, help=f"replications (default {SimSpec.replications})")
     p_sim.add_argument("--seed", type=_parse_seed, help="base seed (default $ENGSET_SEED or 0)")
     p_sim.add_argument("--config", help="key = value defaults file")
     p_sim.set_defaults(func=cmd_simulate)

@@ -52,10 +52,14 @@ from dataclasses import dataclass
 from heapq import heappop, heappush
 from typing import Sequence
 
-from .errors import EstimationError
+from .errors import EstimationError, SourceCountError
 from .traffic import LoadVector, arrival_intensities, as_load_vector
 
 MODES = ("cleared", "held")
+# Most sources a simulation runs. Each replication holds one random.Random
+# per source, and max RSS grows by about 3.1 KB per source, so at the cap a
+# run needs about 1.6 GB. Analytic models take up to SOURCE_CAP sources.
+SIM_SOURCE_CAP = 2 ** 19
 
 _ATTEMPT, _END = 0, 1
 
@@ -67,19 +71,27 @@ class SimSpec:
     loads: LoadVector
     w: int
     mode: str
-    horizon: float
+    horizon: float = 1e5
     warmup: float | None = None
     replications: int = 10
     base_seed: int = 0
 
     def __post_init__(self):
         object.__setattr__(self, "loads", as_load_vector(self.loads))
+        check_sim_sources(len(self.loads))
         if self.w < 1:
             raise ValueError("W must be >= 1")
         if self.mode not in MODES:
             raise ValueError(f"mode must be one of {MODES}, got {self.mode!r}")
         object.__setattr__(self, "warmup",
                            check_run_lengths(self.horizon, self.warmup, self.replications))
+
+
+def check_sim_sources(m: int) -> None:
+    """Raise SourceCountError when M sources exceed SIM_SOURCE_CAP."""
+    if m > SIM_SOURCE_CAP:
+        raise SourceCountError(f"M={m} sources exceed the simulation cap "
+                               f"SIM_SOURCE_CAP={SIM_SOURCE_CAP}")
 
 
 def check_run_lengths(horizon: float, warmup: float | None, replications: int) -> float:

@@ -19,12 +19,13 @@ import csv
 import dataclasses
 import io
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 from .engset import BlockingMetrics, engset_classical, engset_lcc, engset_ofl
 from .errors import InfeasibleTuiError
-from .sim import MODES, Estimate, SimResult, SimSpec, check_run_lengths, simulate
+from .sim import (MODES, Estimate, SimResult, SimSpec, check_run_lengths, check_sim_sources,
+                  simulate)
 from .traffic import LoadVector, make_load_vector, min_feasible_tui
 
 # Analytic models by name, each fn(loads, w). The solvers are looked up in
@@ -41,22 +42,9 @@ CSV_HEADER = "name,M,W,A,tui,model,metric,value,ci_half_width,status,note"
 
 
 @dataclass(frozen=True)
-class SimSettings:
-    """Simulation knobs shared by every sim model in a sweep."""
-
-    horizon: float = 1e5
-    warmup: float | None = None
-    replications: int = 10
-    base_seed: int = 0
-
-    def __post_init__(self):
-        # Checked here too, so a sweep without a sim model still rejects them.
-        check_run_lengths(self.horizon, self.warmup, self.replications)
-
-
-@dataclass(frozen=True)
 class SweepSpec:
-    """One experiment definition: grid, per-wavelength load and model set."""
+    """One experiment definition: grid, per-wavelength load, model set and
+    the run settings of its sim models, which default as SimSpec's do."""
 
     name: str
     m: int
@@ -64,7 +52,10 @@ class SweepSpec:
     per_wavelength_load: float
     tui_values: tuple[float, ...] | None = None  # None: default 0.05-step grid
     models: tuple[str, ...] = ("lcc",)
-    sim: SimSettings = field(default_factory=SimSettings)
+    horizon: float = SimSpec.horizon
+    warmup: float | None = SimSpec.warmup
+    replications: int = SimSpec.replications
+    base_seed: int = SimSpec.base_seed
 
     def __post_init__(self):
         if self.m < 1:
@@ -78,6 +69,10 @@ class SweepSpec:
             raise ValueError(f"unknown models {unknown}; valid: {MODELS}")
         if not self.models:
             raise ValueError("at least one model required")
+        # Checked here too, so a sweep without a sim model still rejects them.
+        check_run_lengths(self.horizon, self.warmup, self.replications)
+        if any(mdl.startswith("sim-") for mdl in self.models):
+            check_sim_sources(self.m)
 
 
 @dataclass(frozen=True)
@@ -125,13 +120,14 @@ def default_tui_grid(m: int, total_load: float) -> tuple[float, ...]:
 
 
 def evaluate(model: str, loads: LoadVector, w: int,
-             sim: SimSettings) -> BlockingMetrics | SimResult:
-    """One model at one point: analytic metrics, or a ``sim-<mode>`` simulation."""
+             spec: SweepSpec) -> BlockingMetrics | SimResult:
+    """One model at one point: analytic metrics, or a ``sim-<mode>``
+    simulation with ``spec``'s run settings."""
     if model in ANALYTIC_MODELS:
         return ANALYTIC_MODELS[model](loads, w)
-    return simulate(SimSpec(loads=loads, w=w, mode=model.removeprefix("sim-"),
-                            horizon=sim.horizon, warmup=sim.warmup,
-                            replications=sim.replications, base_seed=sim.base_seed))
+    return simulate(SimSpec(loads, w, model.removeprefix("sim-"), horizon=spec.horizon,
+                            warmup=spec.warmup, replications=spec.replications,
+                            base_seed=spec.base_seed))
 
 
 def metric_rows(name: str, m: int, w: int, a: float, tui: float | None, model: str,
@@ -186,7 +182,7 @@ def run_sweep(spec: SweepSpec) -> list[SweepRow]:
                 continue
             for model in spec.models:
                 rows.extend(metric_rows(spec.name, spec.m, w, spec.per_wavelength_load, target,
-                                        model, evaluate(model, loads, w, spec.sim)))
+                                        model, evaluate(model, loads, w, spec)))
     return rows
 
 

@@ -29,7 +29,7 @@ TUI_TOLERANCE = 1e-10
 _MAX_BISECTION_STEPS = 200
 # Most sources make_load_vector builds. Synthesis itself peaks at about
 # 17 bytes per source, but `opsloss tui` prints every load and grows by
-# about 122 bytes of max RSS per source, so at the cap it needs about 2 GB.
+# about 60 bytes of max RSS per source, so at the cap it needs about 1 GB.
 SOURCE_CAP = 2 ** 24
 
 

@@ -10,7 +10,8 @@ from pathlib import Path
 import pytest
 
 import opsloss
-from opsloss import ANALYTIC_MODELS, SOURCE_CAP, make_preset, preset_names
+from opsloss import (ANALYTIC_MODELS, SIM_SOURCE_CAP, SOURCE_CAP, SweepSpec, make_preset,
+                     preset_names)
 from opsloss.cli import main
 
 SRC = Path(opsloss.__file__).resolve().parent.parent
@@ -232,6 +233,27 @@ class TestSweepCommand:
         assert len(out.splitlines()) == 1 + 2 * 2 * 2 * 3
         assert out.splitlines()[1].startswith("mini,4,")
 
+    def test_oversized_sim_sweep_exits_2(self, capsys, tmp_path):
+        # Load synthesis takes this M, but one random.Random per source
+        # would take about 6 GB.
+        m = 2_000_000
+        spec = tmp_path / "big.sweep"
+        spec.write_text(f"m = {m}\nw = 1\nload = 0.5\nmodels = lcc,sim-cleared\n")
+        tracemalloc.start()
+        start = time.perf_counter()
+        try:
+            code, out, err = run_cli(capsys, "sweep", "--spec", str(spec))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert time.perf_counter() - start < 1.0
+        assert peak < 1e6
+        assert code == 2
+        assert out == ""
+        assert f"M={m} sources exceed the simulation cap SIM_SOURCE_CAP={SIM_SOURCE_CAP}" in err
+        # Without a sim model the same M is a valid sweep.
+        assert SweepSpec(name="big", m=m, w_values=(1,), per_wavelength_load=0.5).m == m
+
     def test_spec_file_unknown_key_exits_2(self, capsys, tmp_path):
         spec = tmp_path / "bad.sweep"
         spec.write_text("m = 4\nw = 1\nload = 0.5\nwavelength = 3\n")
@@ -374,6 +396,16 @@ class TestRunFiguresScript:
             code, out, _ = run_cli(capsys, "sweep", "--preset", name, "--models", ",".join(models))
             assert code == 0
             assert (tmp_path / f"{name}.csv").read_text(encoding="utf-8") == out
+
+    def test_sim_run_settings_match_the_cli(self, capsys, tmp_path):
+        settings = ("--horizon", "200", "--reps", "2", "--seed", "5")
+        env = dict(os.environ, PYTHONPATH=str(SRC))
+        subprocess.run([sys.executable, str(SRC.parent / "scripts" / "run_figures.py"),
+                        "--presets", "fig3", *settings, "--outdir", str(tmp_path)],
+                       env=env, check=True, capture_output=True)
+        code, out, _ = run_cli(capsys, "sweep", "--preset", "fig3", *settings)
+        assert code == 0
+        assert (tmp_path / "fig3.csv").read_text(encoding="utf-8") == out
 
 
 class TestUsageErrors:

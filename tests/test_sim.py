@@ -1,12 +1,14 @@
 """Simulator behaviour: determinism, estimator convergence, confidence limits."""
 
 import math
+import time
+import tracemalloc
 
 import mpmath
 import pytest
 
-from opsloss import (EstimationError, LoadVector, SimSpec, confidence_interval,
-                     engset_lcc, engset_ofl, make_load_vector, simulate)
+from opsloss import (SIM_SOURCE_CAP, EstimationError, LoadVector, SimSpec, SourceCountError,
+                     confidence_interval, engset_lcc, engset_ofl, make_load_vector, simulate)
 from opsloss.sim import _T975
 
 REF_SPEC = dict(horizon=2e4, warmup=2e3, replications=10, base_seed=101)
@@ -97,6 +99,23 @@ class TestSimSpec:
             SimSpec(**{**good, "replications": 0})
         with pytest.raises(ValueError):
             SimSpec(**{**good, "w": 0})
+
+    def test_oversized_spec_raises_before_any_stream(self):
+        # One source past the cap: its random.Random streams alone would
+        # take about 1.6 GB.
+        m = SIM_SOURCE_CAP + 1
+        loads = LoadVector((0.5 / m,) * m)
+        tracemalloc.start()
+        start = time.perf_counter()
+        try:
+            with pytest.raises(SourceCountError,
+                               match=f"M={m} .*SIM_SOURCE_CAP={SIM_SOURCE_CAP}"):
+                SimSpec(loads=loads, w=1, mode="cleared")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert time.perf_counter() - start < 1.0
+        assert peak < 1e6
 
 
 class TestDeterminism:

@@ -6,12 +6,12 @@ import math
 
 import pytest
 
-from opsloss import (Estimate, SimSettings, SimSpec, SweepRow, SweepSpec, default_tui_grid,
+from opsloss import (Estimate, SimSpec, SweepRow, SweepSpec, default_tui_grid,
                      make_load_vector, make_preset, preset_names, rows_to_csv, run_sweep,
                      simulate, CSV_HEADER)
 from opsloss.cli import main
 
-FAST_SIM = SimSettings(horizon=2e3, warmup=2e2, replications=3, base_seed=1)
+FAST_SIM = dict(horizon=2e3, warmup=2e2, replications=3, base_seed=1)
 
 
 def analytic(preset_name, **overrides):
@@ -92,7 +92,7 @@ class TestRunSweep:
 
     def test_sim_models_report_half_widths(self):
         spec = SweepSpec(name="t", m=2, w_values=(1,), per_wavelength_load=0.8,
-                         tui_values=(1.0,), models=("lcc", "sim-cleared"), sim=FAST_SIM)
+                         tui_values=(1.0,), models=("lcc", "sim-cleared"), **FAST_SIM)
         rows = run_sweep(spec)
         for r in rows:
             if r.model == "sim-cleared":
@@ -135,7 +135,7 @@ class TestRunSweep:
     ])
     def test_sim_settings_reject_what_sim_spec_rejects(self, settings, message):
         with pytest.raises(ValueError, match=message):
-            SimSettings(**settings)
+            SweepSpec(name="t", m=2, w_values=(1,), per_wavelength_load=0.5, **settings)
         with pytest.raises(ValueError, match=message):
             SimSpec(loads=(0.5,), w=1, mode="cleared", **{"horizon": 1e3, **settings})
 
@@ -175,11 +175,10 @@ class TestPresets:
             make_preset("nope")
 
     def test_overrides(self):
-        spec = make_preset("fig3", per_wavelength_load=0.5, models=("lcc",),
-                           sim=FAST_SIM)
+        spec = make_preset("fig3", per_wavelength_load=0.5, models=("lcc",), **FAST_SIM)
         assert spec.per_wavelength_load == 0.5
         assert spec.models == ("lcc",)
-        assert spec.sim == FAST_SIM
+        assert {key: getattr(spec, key) for key in FAST_SIM} == FAST_SIM
 
     def test_preset_shapes(self):
         fig6 = make_preset("fig6")
