@@ -18,14 +18,23 @@ elimination that carries the row sums instead of the diagonal (the GTH
 trick), so every operation adds, multiplies or divides nonnegative
 numbers and small state probabilities keep their relative accuracy.
 
+Each level is an array of sorted rows in lexicographic order. A row read
+as base-M digits sorts like the row itself, so the moves down from level
+k, lower[c, p] = state c less its p-th member, are one searchsorted of
+the codes of level k-1. A code has min(M, W) - 1 digits at most: under
+STATE_CAP the largest, at M = W = 12, stays below 12^11 < 2^40. One
+stable argsort per level (`_holders`) lists each source's places in the
+level's states; one source's moves never repeat a state, so they go
+into the solve as one fancy-indexed add.
+
 Only the R_k blocks below the top level are kept (R_K = U_{K-1} / K
 is applied through the moves themselves): sum over k < K of n_{k-1} n_k
 doubles, plus one (n_{k-1} + n_{k-2}) x n_{k-1} buffer per level, solved
 in place and dropped once R_{k-1} is copied out. The work is
 O(sum n_k^3 + n_k^2 n_{k-1}) for the solve and O(M n_W) for the
 per-source loss sums. On one core of a 2-vCPU x86_64 VM, M=12, W=6 (2,510
-states) peaks at 12.0 MB and takes 0.14-0.20 s, and M=13, W=6 (4,096
-states) at 28.9 MB and 0.39-0.44 s.
+states) peaks at 11.5 MB and takes 0.15-0.19 s, and M=13, W=6 (4,096
+states) at 28.3 MB and 0.38-0.47 s.
 STATE_CAP = 5,000 bounds the chain; larger ones end in StateSpaceError.
 """
 
@@ -62,54 +71,40 @@ def _enumerate_levels(m: int, w: int) -> list[np.ndarray]:
     """The k-subsets of range(m) for k = 0..min(w, m), one sorted row each,
     in lexicographic order."""
     kmax = min(w, m)
-    count = sum(math.comb(m, k) for k in range(kmax + 1))
-    if count > STATE_CAP:
-        raise StateSpaceError(
-            f"{count} states for M={m}, W={w} exceed the enumeration cap of {STATE_CAP}")
+    count = 0
+    for k in range(kmax + 1):
+        count += math.comb(m, k)
+        if count > STATE_CAP:
+            raise StateSpaceError(f"M={m}, W={w} has more than {STATE_CAP} states, over "
+                                  f"the enumeration cap STATE_CAP={STATE_CAP}")
     return [np.array(list(combinations(range(m), k)), dtype=np.intp).reshape(math.comb(m, k), k)
             for k in range(kmax + 1)]
 
 
-def _lex_rank(combos: np.ndarray, m: int) -> np.ndarray:
-    """Lexicographic position of each sorted row among the k-subsets of range(m)."""
-    n, k = combos.shape
-    rank = np.full(n, math.comb(m, k) - 1, dtype=np.intp)
-    # Reflected and reversed, a lex rank is a colex rank counted from the end.
-    for j in range(k):
-        b = m - 1 - combos[:, k - 1 - j]
-        c = np.ones(n, dtype=np.intp)
-        for t in range(j + 1):
-            c = c * (b - t) // (t + 1)
-        rank -= c
-    return rank
+def _lower(upper: np.ndarray, below: np.ndarray, m: int) -> np.ndarray:
+    """lower[c, p]: the row of ``below`` (the level under ``upper``) that is
+    row c of ``upper`` less its p-th member."""
+    n, k = upper.shape
+    keep = np.array([[q for q in range(k) if q != p] for p in range(k)],
+                    dtype=np.intp).reshape(k, k - 1)
+    digits = m ** np.arange(k - 2, -1, -1, dtype=np.int64)
+    return np.searchsorted(below @ digits, upper[:, keep] @ digits)
 
 
-@dataclass(frozen=True)
-class _Moves:
-    """The moves between levels k-1 and k: state c of level k less its p-th
-    member is state lower[c, p] of level k-1. The same moves as flat arrays
-    sorted by source: state cidx[j] less source src[j] is state ridx[j],
-    and the moves of source i are the slice starts[i]:starts[i + 1]."""
+def _holders(level: np.ndarray, m: int) -> list[np.ndarray]:
+    """For each source, the flat positions j of ``level`` that hold it, in
+    state order: position j is member j % k of state j // k."""
+    flat = level.ravel()
+    order = np.argsort(flat, kind="stable")
+    starts = np.searchsorted(flat[order], np.arange(m + 1)).tolist()
+    return [order[s:e] for s, e in zip(starts, starts[1:])]
 
-    lower: np.ndarray
-    src: np.ndarray
-    cidx: np.ndarray
-    ridx: np.ndarray
-    starts: np.ndarray
 
-    @classmethod
-    def between(cls, upper: np.ndarray, m: int) -> "_Moves":
-        n, k = upper.shape
-        keep = np.array([[q for q in range(k) if q != p] for p in range(k)],
-                        dtype=np.intp).reshape(k, k - 1)
-        lower = _lex_rank(upper[:, keep].reshape(n * k, k - 1), m)
-        order = np.argsort(upper.ravel(), kind="stable")
-        src = upper.ravel()[order]
-        return cls(lower.reshape(n, k), src, np.repeat(np.arange(n), k)[order],
-                   lower[order], np.searchsorted(src, np.arange(m + 1)))
-
-    def of(self, i: int) -> slice:
-        return slice(self.starts[i], self.starts[i + 1])
+def _up(below: np.ndarray, lower: np.ndarray, rates: np.ndarray) -> np.ndarray:
+    """The flow into each state c of a level from the level below, the sum
+    over members p of below[lower[c, p]] * rates[c, p], in member order."""
+    n, k = lower.shape
+    return np.bincount(np.repeat(np.arange(n), k), (below[lower] * rates).ravel(), n)
 
 
 def _solve_right(a: np.ndarray, n: int, slack: np.ndarray) -> None:
@@ -147,9 +142,8 @@ def ctmc_oracle(loads: LoadVector | Sequence[float],
 
     levels = _enumerate_levels(m, w)
     top = len(levels) - 1
-    moves = [None] + [_Moves.between(levels[k], m) for k in range(1, top + 1)]
+    lower = [None] + [_lower(levels[k], levels[k - 1], m) for k in range(1, top + 1)]
     sizes = [len(level) for level in levels]
-    last = moves[top]  # into the top level
 
     # No activation leaves the top level (W busy, or every source on), so
     # N_top = top I and R_top = U_{top-1} / top stays implicit.
@@ -163,15 +157,13 @@ def ctmc_oracle(loads: LoadVector | Sequence[float],
             # Through top state c, from c less one member to c less
             # another: the two fix c, so no pair repeats.
             for p, q in permutations(range(top), 2):
-                st[last.lower[:, p], last.lower[:, q]] = lam[levels[top][:, p]] / top
+                st[lower[top][:, p], lower[top][:, q]] = lam[levels[top][:, p]] / top
         else:
             # For one source the moves pair distinct states, so no index
             # repeats within an add.
-            mv = moves[k]
-            for i in range(m):
-                st[:n, mv.ridx[mv.of(i)]] += r[k][:, mv.cidx[mv.of(i)]]
-        mv = moves[k - 1]
-        st[n + mv.ridx, mv.cidx] = lam[mv.src]
+            for j in _holders(levels[k], m):
+                st[:n, lower[k].flat[j]] += r[k][:, j // k]
+        st[n + lower[k - 1], np.arange(n)[:, None]] = lam[levels[k - 1]]
         _solve_right(st, n, np.full(n, float(k - 1)))
         r[k - 1] = st[n:].copy()
         del st
@@ -180,8 +172,7 @@ def ctmc_oracle(loads: LoadVector | Sequence[float],
     for k in range(1, top):
         pis.append(pis[-1] @ r[k])
     del r
-    pis.append(np.bincount(last.cidx, pis[-1][last.ridx] * lam[last.src], sizes[top])
-               / top)
+    pis.append(_up(pis[-1], lower[top], lam[levels[top]]) / top)
     total = math.fsum(math.fsum(p) for p in pis)
     pis = [p / total for p in pis]
 
@@ -191,17 +182,16 @@ def ctmc_oracle(loads: LoadVector | Sequence[float],
         inflow = np.zeros(sizes[k])
         outflow = pis[k] * k
         if k > 0:
-            mv = moves[k]
-            inflow += np.bincount(mv.cidx, pis[k - 1][mv.ridx] * lam[mv.src], sizes[k])
+            inflow += _up(pis[k - 1], lower[k], lam[levels[k]])
         if k < top:
-            mv = moves[k + 1]
-            inflow += np.bincount(mv.ridx, pis[k + 1][mv.cidx], sizes[k])
-            outflow += pis[k] * np.bincount(mv.ridx, lam[mv.src], sizes[k])
+            down = lower[k + 1].ravel()
+            inflow += np.bincount(down, np.repeat(pis[k + 1], k + 1), sizes[k])
+            outflow += pis[k] * np.bincount(down, lam[levels[k + 1]].ravel(), sizes[k])
         residual = max(residual, float(np.abs(inflow - outflow).max()))
 
     on_prob = np.zeros(m)
     for k in range(1, top + 1):
-        on_prob += np.bincount(moves[k].src, pis[k][moves[k].cidx], m)
+        on_prob += np.bincount(levels[k].ravel(), np.repeat(pis[k], k), m)
     blocked_off = np.zeros(m)  # P(i off and W busy)
     time_c = 0.0
     if top == w:
@@ -209,8 +199,8 @@ def ctmc_oracle(loads: LoadVector | Sequence[float],
         # Summed over the busy states without i, not as P(W busy) less the
         # states with i, which would cancel for a source that is mostly on.
         without = np.ones(sizes[top], dtype=bool)
-        for i in range(m):
-            held = last.cidx[last.of(i)]
+        for i, j in enumerate(_holders(levels[top], m)):
+            held = j // top
             without[held] = False
             blocked_off[i] = pis[top][without].sum()
             without[held] = True

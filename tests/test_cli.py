@@ -98,7 +98,19 @@ class TestAnalyzeCommand:
         code, _, err = run_cli(capsys, "analyze", "--loads", ",".join(["0.1"] * 18),
                                "--w", "9", "--model", "oracle")
         assert code == 2
-        assert "155382 states" in err
+        assert "M=18, W=9 has more than 5000 states" in err
+
+    def test_oversized_oracle_exits_2_quickly(self, capsys):
+        # The states are counted level by level and the count stops at the
+        # first level past the cap, here level 1.
+        start = time.perf_counter()
+        code, out, err = run_cli(capsys, "analyze", "--loads", ",".join(["0.01"] * 10_000),
+                                 "--w", "5000", "--model", "oracle")
+        assert time.perf_counter() - start < 1.0
+        assert code == 2
+        assert out == ""
+        assert len(err.encode()) < 200
+        assert "M=10000, W=5000 has more than 5000 states" in err
 
     def test_oracle_matches_lcc(self, capsys):
         _, out_a, _ = run_cli(capsys, "analyze", "--loads", "0.7,0.1", "--w", "1",

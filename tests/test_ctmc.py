@@ -1,5 +1,6 @@
 """Brute-force chain oracle: hand-solved cases and product-form agreement."""
 
+import dataclasses
 import itertools
 import math
 import random
@@ -36,10 +37,45 @@ def test_state_cap_error_names_cap():
 
 
 def test_cap_bounds_dense_solve_memory():
-    # M=18, W=9 has 155,382 states: a dense solve would need ~190 GB.
+    # M=18, W=9 has 155,382 states and passes the cap at level 5. Its
+    # largest level solve would stack (43,758 + 31,824) x 43,758 doubles
+    # (26 GB); at the cap, even a dense n x n solve stays under 400 MB.
     assert 16 * STATE_CAP ** 2 <= 400e6
-    with pytest.raises(StateSpaceError, match="155382 states"):
+    with pytest.raises(StateSpaceError, match="M=18, W=9 has more than 5000 states"):
         ctmc_oracle([0.1] * 18, 9)
+
+
+def test_subset_code_fits_int64_at_every_admitted_size():
+    # A k-subset less one member is read as k - 1 base-M digits, so its code
+    # stays below M^(min(M, W) - 1). Walk every (M, W) that the cap admits.
+    worst = 0
+    for m in itertools.count(1):
+        if 1 + m > STATE_CAP:
+            break
+        count = 1
+        for w in range(1, m + 1):
+            count += math.comb(m, w)
+            if count > STATE_CAP:
+                break
+            assert m ** (w - 1) < 2 ** 63
+            worst = max(worst, m ** (w - 1))
+    assert worst == 12 ** 11 < 2 ** 40
+
+
+@pytest.mark.parametrize("m, w, states", [(12, 12, 4096), (99, 2, 4951), (4999, 1, 5000)])
+def test_matches_product_form_at_the_code_limits(m, w, states):
+    # The deepest code (M=W=12), the widest base (M=99) and the most sources
+    # the cap admits, on seeded distinct loads.
+    rng = random.Random(m)
+    loads = [rng.uniform(0.001, min(0.9, 2.0 * w / m)) for _ in range(m)]
+    assert len(set(loads)) == m
+    sol, slow = ctmc_oracle(loads, w)
+    assert len(sol.states) == states
+    assert sol.balance_residual < 1e-9
+    fast = engset_lcc(loads, w)
+    for field in dataclasses.fields(fast):
+        assert getattr(slow, field.name) == pytest.approx(getattr(fast, field.name),
+                                                          rel=1e-12, abs=0.0), field.name
 
 
 def test_zero_traffic_error():
