@@ -23,14 +23,16 @@ import math
 import os
 import sys
 
-from .ctmc import ctmc_oracle
 from .errors import EstimationError
 from .sim import MODES, SimSpec, simulate
-from .sweep import (ANALYTIC_MODELS, MODELS, SweepSpec, make_preset, metric_rows, preset_names,
-                    rows_to_csv, run_sweep)
+from .sweep import (ANALYTIC_MODELS, MODELS, SweepSpec, bind_at_first_call, make_preset,
+                    metric_rows, preset_names, rows_to_csv, run_sweep)
 from .traffic import LoadVector, make_load_vector, tui as compute_tui
 
-# The sweep's analytic models plus the brute-force oracle.
+ctmc_oracle = bind_at_first_call(globals(), "ctmc", "ctmc_oracle")
+
+# The sweep's analytic models plus the brute-force oracle, looked up here
+# when called.
 ANALYZE_MODELS = {**ANALYTIC_MODELS, "oracle": lambda loads, w: ctmc_oracle(loads, w)[1]}
 
 

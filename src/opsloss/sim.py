@@ -77,8 +77,9 @@ class SimSpec:
     base_seed: int = 0
 
     def __post_init__(self):
-        object.__setattr__(self, "loads", as_load_vector(self.loads))
+        # Counted first: an oversized run is refused before its loads are checked.
         check_sim_sources(len(self.loads))
+        object.__setattr__(self, "loads", as_load_vector(self.loads))
         if self.w < 1:
             raise ValueError("W must be >= 1")
         if self.mode not in MODES:

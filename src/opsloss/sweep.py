@@ -20,13 +20,39 @@ import dataclasses
 import io
 import math
 from dataclasses import dataclass
-from typing import Callable
+from importlib import import_module
+from typing import TYPE_CHECKING, Callable
 
-from .engset import BlockingMetrics, engset_classical, engset_lcc, engset_ofl
 from .errors import InfeasibleTuiError
 from .sim import (MODES, Estimate, SimResult, SimSpec, check_run_lengths, check_sim_sources,
                   simulate)
 from .traffic import LoadVector, make_load_vector, min_feasible_tui
+
+if TYPE_CHECKING:
+    from .engset import BlockingMetrics
+
+
+def bind_at_first_call(namespace: dict, module: str, name: str) -> Callable:
+    """A stand-in for ``opsloss.<module>.<name>`` under ``namespace[name]``.
+
+    Its first call imports the module, puts the real function in
+    ``namespace[name]`` (unless another function was installed there since)
+    and forwards the call. So a process loads the analytic solvers, and
+    numpy with them, only when it solves something.
+    """
+    def first_call(*args):
+        fn = getattr(import_module(f".{module}", __package__), name)
+        if namespace.get(name) is first_call:
+            namespace[name] = fn
+        return fn(*args)
+
+    first_call.__name__ = first_call.__qualname__ = name
+    return first_call
+
+
+engset_lcc = bind_at_first_call(globals(), "engset", "engset_lcc")
+engset_ofl = bind_at_first_call(globals(), "engset", "engset_ofl")
+engset_classical = bind_at_first_call(globals(), "engset", "engset_classical")
 
 # Analytic models by name, each fn(loads, w). The solvers are looked up in
 # this module when called, so a wrapper installed on these names (as

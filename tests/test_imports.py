@@ -1,8 +1,11 @@
-"""Start-up cost: scipy stays off the import path.
+"""Start-up cost: numpy and scipy stay off the import path.
 
-Analytic work never loads it, and a simulation loads it only for a
-confidence interval over more than 101 replications, beyond the table of
-Student-t quantiles in ``opsloss.sim``.
+numpy loads only where an analytic solver runs: ``import opsloss`` and
+``opsloss.cli`` load none of it, and neither do ``tui``, the simulator or
+a simulation-only sweep, while ``analyze`` and analytic sweeps load it at
+their first solve. Analytic work never loads scipy, and a simulation
+loads it only for a confidence interval over more than 101 replications,
+beyond the table of Student-t quantiles in ``opsloss.sim``.
 """
 
 import json
@@ -17,11 +20,23 @@ import opsloss
 
 SRC = str(Path(opsloss.__file__).resolve().parent.parent)
 
+ANALYZE_LCC = ("from opsloss.cli import main\n"
+               "assert main(['analyze', '--loads', '0.4,0.4', '--w', '1', '--model', 'lcc']) == 0")
+SIMULATE_CLEARED = ("from opsloss.cli import main\n"
+                    "assert main(['simulate', '--loads', '0.4,0.3', '--w', '1', '--mode',"
+                    " 'cleared', '--reps', '3', '--horizon', '50']) == 0")
+SIMULATE_HELD = ("from opsloss.cli import main\n"
+                 "assert main(['simulate', '--loads', '0.4,0.3', '--w', '1', '--mode', 'held',"
+                 " '--reps', '10', '--horizon', '50']) == 0")
+SWEEP_SIM = ("from opsloss.cli import main\n"
+             "assert main(['sweep', '--preset', 'fig6', '--models', 'sim-cleared',"
+             " '--horizon', '50']) == 0")
 
-def scipy_modules_after(code: str) -> list[str]:
-    """Run ``code`` in a fresh interpreter and list the scipy modules it loaded."""
+
+def modules_after(code: str, package: str) -> list[str]:
+    """Run ``code`` in a fresh interpreter and list the modules of ``package`` it loaded."""
     probe = (code + "\nimport json, sys\n"
-             "print(json.dumps(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')))")
+             f"print(json.dumps(sorted(m for m in sys.modules if m.split('.')[0] == {package!r})))")
     env = dict(os.environ, PYTHONPATH=SRC)
     proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
                           env=env, check=True)
@@ -30,28 +45,40 @@ def scipy_modules_after(code: str) -> list[str]:
 
 @pytest.mark.parametrize("code", [
     "import opsloss",
-    "from opsloss.cli import main\n"
-    "assert main(['analyze', '--loads', '0.4,0.4', '--w', '1', '--model', 'lcc']) == 0",
+    ANALYZE_LCC,
     # The chain oracle solves with numpy alone; scipy.sparse would cost the
     # process tens of megabytes and a third of a second.
     "from opsloss.cli import main\n"
     "assert main(['analyze', '--loads', '0.4,0.3,0.2,0.1', '--w', '2', '--model', 'oracle']) == 0",
-    "from opsloss.cli import main\n"
-    "assert main(['simulate', '--loads', '0.4,0.3', '--w', '1', '--mode', 'cleared',"
-    " '--reps', '3', '--horizon', '50']) == 0",
-    "from opsloss.cli import main\n"
-    "assert main(['simulate', '--loads', '0.4,0.3', '--w', '1', '--mode', 'held',"
-    " '--reps', '10', '--horizon', '50']) == 0",
-    "from opsloss.cli import main\n"
-    "assert main(['sweep', '--preset', 'fig6', '--models', 'sim-cleared',"
-    " '--horizon', '50']) == 0",
+    SIMULATE_CLEARED,
+    SIMULATE_HELD,
+    SWEEP_SIM,
 ])
 def test_no_scipy_loaded(code):
-    assert scipy_modules_after(code) == []
+    assert modules_after(code, "scipy") == []
 
 
 def test_large_interval_loads_scipy():
     # 102 samples have 101 degrees of freedom, one past the quantile table.
     code = ("from opsloss import confidence_interval\n"
             "confidence_interval([i / 102 for i in range(102)])")
-    assert "scipy.special" in scipy_modules_after(code)
+    assert "scipy.special" in modules_after(code, "scipy")
+
+
+@pytest.mark.parametrize("code", [
+    "import opsloss",
+    "import opsloss.cli",
+    "from opsloss.cli import main\n"
+    "assert main(['tui', '--loads', '0.4,0.3,0.2,0.1']) == 0",
+    "from opsloss.cli import main\n"
+    "assert main(['tui', '--m', '16', '--total', '2', '--tui', '0.6']) == 0",
+    SIMULATE_CLEARED,
+    SIMULATE_HELD,
+    SWEEP_SIM,
+])
+def test_no_numpy_loaded(code):
+    assert modules_after(code, "numpy") == []
+
+
+def test_analytic_model_loads_numpy():
+    assert "numpy" in modules_after(ANALYZE_LCC, "numpy")

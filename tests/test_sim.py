@@ -117,6 +117,20 @@ class TestSimSpec:
         assert time.perf_counter() - start < 1.0
         assert peak < 1e6
 
+    def test_oversized_raw_loads_are_refused_before_validation(self):
+        # A plain tuple, as the CLI passes: counting it first spares building
+        # and checking a LoadVector of 2^19 + 1 floats (4 MB for its tuple).
+        m = SIM_SOURCE_CAP + 1
+        loads = (0.5 / m,) * m
+        tracemalloc.start()
+        try:
+            with pytest.raises(SourceCountError, match=f"M={m} "):
+                SimSpec(loads=loads, w=1, mode="cleared")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1e5
+
 
 class TestDeterminism:
     def test_identical_specs_identical_results(self):
