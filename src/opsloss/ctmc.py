@@ -30,11 +30,11 @@ into the solve as one fancy-indexed add.
 Only the R_k blocks below the top level are kept (R_K = U_{K-1} / K
 is applied through the moves themselves): sum over k < K of n_{k-1} n_k
 doubles, plus one (n_{k-1} + n_{k-2}) x n_{k-1} buffer per level, solved
-in place and dropped once R_{k-1} is copied out. The work is
+in place and then shrunk in place to R_{k-1}. The work is
 O(sum n_k^3 + n_k^2 n_{k-1}) for the solve and O(M n_W) for the
 per-source loss sums. On one core of a 2-vCPU x86_64 VM, M=12, W=6 (2,510
-states) peaks at 11.5 MB and takes 0.15-0.19 s, and M=13, W=6 (4,096
-states) at 28.3 MB and 0.38-0.47 s.
+states) peaks at 10.3 MB (`tracemalloc`) and takes 0.15-0.19 s, and
+M=13, W=6 (4,096 states) at 24.9 MB and 0.38-0.47 s.
 STATE_CAP = 5,000 bounds the chain; larger ones end in StateSpaceError.
 """
 
@@ -165,8 +165,11 @@ def ctmc_oracle(loads: LoadVector | Sequence[float],
                 st[:n, lower[k].flat[j]] += r[k][:, j // k]
         st[n + lower[k - 1], np.arange(n)[:, None]] = lam[levels[k - 1]]
         _solve_right(st, n, np.full(n, float(k - 1)))
-        r[k - 1] = st[n:].copy()
-        del st
+        # R_{k-1} moves to the front and the buffer shrinks to it in place,
+        # so no copy of it lives beside the buffer. No view of st is alive.
+        st[:sizes[k - 2]] = st[n:]
+        st.resize((sizes[k - 2], n), refcheck=False)
+        r[k - 1] = st
 
     pis = [np.ones(1)]
     for k in range(1, top):

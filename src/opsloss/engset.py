@@ -33,7 +33,8 @@ once per class, not once per source, on one core:
   rebuilds its rows from the kept row on its right by the same products,
   bit for bit. Cost O(classes * W^2) time and O(sqrt(classes) * W + M)
   memory (the rows, and the class factors: a factor keeps at most W + 1
-  coefficients but holds the buffer of all n_c + 1 binomial terms); the
+  coefficients but holds the buffer of all n_c + 1 binomial terms, and
+  OFL also keeps a class's n_c + 1 tail sums when n_c > 1); the
   paper's one-hot loads have two classes, all-distinct loads M classes of
   one source each.
 - The models differ in what happens above degree W. LCC drops those
@@ -47,7 +48,8 @@ once per class, not once per source, on one core:
   active sources before them, so class c adds
   sum_{j>=1} P(X_c >= j) P(N_<c >= W-j+1), X_c ~ Bin(n_c, A_c), where
   N_<c has the law of the class's prefix row; the terms with j > W sum
-  to E[(X_c-W)+].
+  to E[(X_c-W)+]. The law of X_c is read from the class factor's own
+  n_c + 1 terms before degree W is folded, so they are built once.
 
 Every step adds or multiplies nonnegative numbers.
 Every table row is rescaled by its peak when it grows past 1e150; all
@@ -196,9 +198,11 @@ def _suffix_rows(factors: Sequence[np.ndarray], stop: int, row: np.ndarray, fold
     return rows
 
 
-def _leave_one_out(counts: Sequence[int], r: Sequence[float], kmax: int, fold: bool
+def _leave_one_out(factors: Sequence[np.ndarray], counts: Sequence[int], r: Sequence[float],
+                   kmax: int, fold: bool
                    ) -> tuple[np.ndarray, Iterator[tuple[np.ndarray, np.ndarray]]]:
-    """The product of all class factors, and each class's leave-one-out pair.
+    """The product of the class factors, each (1 + r_c x)^{n_c} cut at degree
+    kmax, and each class's leave-one-out pair.
 
     Class c's pair (prefix, rest) multiplies to the generating polynomial of
     the other sources when one source of class c is left out: prefix is the
@@ -211,7 +215,6 @@ def _leave_one_out(counts: Sequence[int], r: Sequence[float], kmax: int, fold: b
     step = max(1, math.isqrt(len(r)))
     one = np.zeros(kmax + 1)
     one[0] = 1.0
-    factors = [_binomial_factor(n, rc, kmax, fold) for n, rc in zip(counts, r)]
     checkpoints = _suffix_rows(factors, len(r), one, fold, every=step)
 
     def pairs() -> Iterator[tuple[np.ndarray, np.ndarray]]:
@@ -241,7 +244,8 @@ def _lcc_metrics(classes: _LoadClasses, w: int) -> BlockingMetrics:
     """Lost-calls-cleared metrics, one leave-one-out per load class."""
     kmax = min(w, len(classes.members))
     r = arrival_intensities(classes.loads)
-    full, pairs = _leave_one_out(classes.counts, r, kmax, fold=False)
+    factors = [_binomial_factor(n, rc, kmax, fold=False) for n, rc in zip(classes.counts, r)]
+    full, pairs = _leave_one_out(factors, classes.counts, r, kmax, fold=False)
     time_c = _at(full, w) / float(full.sum())
 
     per_call, per_traffic, attempt_weights = [], [], []
@@ -321,11 +325,19 @@ def engset_ofl(loads: LoadVector | Sequence[float], w: int) -> BlockingMetrics:
         return BlockingMetrics(0.0, 0.0, 0.0, zeros, zeros)
     classes = _LoadClasses.of(a)
     r = arrival_intensities(classes.loads)
-    full, pairs = _leave_one_out(classes.counts, r, w, fold=True)
+    # A class's terms C(n_c, k) r_c^k, k = 0..n_c, give its factor and, when
+    # n_c > 1, its tail sums own[j] for P(X_c >= j), each scaled by its law's
+    # total. The tails are read before _cut folds degree W in place.
+    factors, tails = [], []
+    for n, rc in zip(classes.counts, r):
+        terms = _binomial_factor(n, rc, n, fold=False)
+        tails.append(np.cumsum(terms[::-1])[::-1] if n > 1 else None)
+        factors.append(_cut(terms, w, fold=True))
+    full, pairs = _leave_one_out(factors, classes.counts, r, w, fold=True)
     time_c = _at(full, w) / float(full.sum())
 
     per_call, excess = [], []
-    for (prefix, rest), n, x, rc in zip(pairs, classes.counts, classes.loads, r):
+    for (prefix, rest), n, x, own in zip(pairs, classes.counts, classes.loads, tails):
         # P(N without i >= W) is the top coefficient of prefix * rest over
         # its sum.
         total = float(prefix.sum())
@@ -334,9 +346,7 @@ def engset_ofl(loads: LoadVector | Sequence[float], w: int) -> BlockingMetrics:
         if n == 1:
             excess.append(x * _at(prefix, w) / total)
             continue
-        # Tail sums, each scaled by its law's total: own[j] for
-        # P(X_c >= j), before[k] for P(N_<c >= k), zero above the prefix.
-        own = np.cumsum(_binomial_factor(n, rc, n, fold=False)[::-1])[::-1]
+        # before[k] for P(N_<c >= k), scaled by its total, zero above the prefix.
         before = np.zeros(w + 1)
         before[:len(prefix)] = np.cumsum(prefix[::-1])[::-1]
         j = min(n, w)

@@ -45,7 +45,6 @@ replications, so a simulation loads scipy only beyond that.
 
 from __future__ import annotations
 
-import hashlib
 import math
 import random
 from dataclasses import dataclass
@@ -205,6 +204,9 @@ def confidence_interval(samples: Sequence[float]) -> tuple[float, float]:
 
 
 def _substream_seed(base_seed: int, replication: int, source: int) -> int:
+    # Imported here: hashlib maps OpenSSL's libcrypto (about 3.6 MB of RSS),
+    # which only a simulation needs, and every CLI process imports this module.
+    import hashlib
     digest = hashlib.sha256(f"{base_seed}:{replication}:{source}".encode()).digest()
     return int.from_bytes(digest[:8], "big")
 

@@ -1,6 +1,7 @@
 """Brute-force chain oracle: hand-solved cases and product-form agreement."""
 
 import dataclasses
+import hashlib
 import itertools
 import math
 import random
@@ -76,6 +77,24 @@ def test_matches_product_form_at_the_code_limits(m, w, states):
     for field in dataclasses.fields(fast):
         assert getattr(slow, field.name) == pytest.approx(getattr(fast, field.name),
                                                           rel=1e-12, abs=0.0), field.name
+
+
+def test_twelve_sources_pinned_at_full_precision():
+    # M=12, W=6 on 12 distinct loads (2,510 states), recorded before the level
+    # buffer was shrunk in place: the solve must reproduce every bit.
+    sol, metrics = ctmc_oracle([0.05 + 0.025 * i for i in range(12)], 6)
+    assert repr(dataclasses.astuple(metrics)) == repr((
+        0.009874661909380711, 0.005313129197249372, 0.004194022919470674,
+        (0.00846024031130064, 0.007838653901526606, 0.007272522425019266,
+         0.006759623908861919, 0.006296985973801673, 0.005880998351304033,
+         0.005507590274460919, 0.005172462135715498, 0.0048713397542137936,
+         0.004600195503486415, 0.004355374120723336, 0.004133636871558737),
+        (0.008040629578660089, 0.007255020078270275, 0.006550033709220833,
+         0.0059196727654489256, 0.005357498491659918, 0.004856822158369367,
+         0.0044109309396376285, 0.004013328883309106, 0.003657959606673169,
+         0.0033393662178290828, 0.0030527506458543287, 0.002793958381351543)))
+    assert (hashlib.sha256(repr(sol.stationary).encode()).hexdigest()
+            == "a7887cf3f892a87902679e6ed9aa690d0acc18afcf08de8fcefbdec5a59d6781")
 
 
 def test_zero_traffic_error():
@@ -201,20 +220,22 @@ def oracle_peak(loads, w):
 
 def test_level_solve_memory_on_twelve_sources():
     # M=12, W=6: 2,510 states. The level solve keeps the R_k blocks below
-    # the top level and solves each level in place in one stacked buffer,
-    # about 12 MB; copying the blocks at each elimination step took 19 MB,
-    # and a dense generator with its LU copy 51 MB.
+    # the top level, solves each level in place in one stacked buffer and
+    # shrinks that buffer to R_{k-1}, about 10.3 MB; copying R_{k-1} out
+    # of the buffer took 11.7 MB, copying the blocks at each elimination
+    # step 19 MB, and a dense generator with its LU copy 51 MB.
     sol, peak = oracle_peak([0.05 + 0.025 * i for i in range(12)], 6)
     assert len(sol.states) == 2510
     assert sol.balance_residual < 1e-9
-    assert peak < 14e6
+    assert peak < 11e6
 
 
 def test_level_solve_memory_on_largest_capped_chain():
     # M=13, W=6: 4,096 states, the largest stacked buffer (1,287 + 715
-    # rows of 1,287) of any chain under STATE_CAP. About 29 MB; copying
-    # the blocks at each elimination step took 48 MB.
+    # rows of 1,287) of any chain under STATE_CAP. About 24.9 MB; copying
+    # R_{k-1} out of the buffer took 28.4 MB, and copying the blocks at
+    # each elimination step 48 MB.
     sol, peak = oracle_peak([0.05 + 0.025 * i for i in range(13)], 6)
     assert len(sol.states) == 4096
     assert sol.balance_residual < 1e-9
-    assert peak < 34e6
+    assert peak < 27e6

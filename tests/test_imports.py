@@ -1,11 +1,13 @@
-"""Start-up cost: numpy and scipy stay off the import path.
+"""Start-up cost: numpy, scipy and hashlib stay off the import path.
 
 numpy loads only where an analytic solver runs: ``import opsloss`` and
 ``opsloss.cli`` load none of it, and neither do ``tui``, the simulator or
 a simulation-only sweep, while ``analyze`` and analytic sweeps load it at
 their first solve. Analytic work never loads scipy, and a simulation
 loads it only for a confidence interval over more than 101 replications,
-beyond the table of Student-t quantiles in ``opsloss.sim``.
+beyond the table of Student-t quantiles in ``opsloss.sim``. hashlib,
+which maps OpenSSL's libcrypto, loads only where a simulation seeds its
+streams.
 """
 
 import json
@@ -22,6 +24,9 @@ SRC = str(Path(opsloss.__file__).resolve().parent.parent)
 
 ANALYZE_LCC = ("from opsloss.cli import main\n"
                "assert main(['analyze', '--loads', '0.4,0.4', '--w', '1', '--model', 'lcc']) == 0")
+ANALYZE_ORACLE = ("from opsloss.cli import main\n"
+                  "assert main(['analyze', '--loads', '0.4,0.3,0.2,0.1', '--w', '2',"
+                  " '--model', 'oracle']) == 0")
 SIMULATE_CLEARED = ("from opsloss.cli import main\n"
                     "assert main(['simulate', '--loads', '0.4,0.3', '--w', '1', '--mode',"
                     " 'cleared', '--reps', '3', '--horizon', '50']) == 0")
@@ -48,8 +53,7 @@ def modules_after(code: str, package: str) -> list[str]:
     ANALYZE_LCC,
     # The chain oracle solves with numpy alone; scipy.sparse would cost the
     # process tens of megabytes and a third of a second.
-    "from opsloss.cli import main\n"
-    "assert main(['analyze', '--loads', '0.4,0.3,0.2,0.1', '--w', '2', '--model', 'oracle']) == 0",
+    ANALYZE_ORACLE,
     SIMULATE_CLEARED,
     SIMULATE_HELD,
     SWEEP_SIM,
@@ -82,3 +86,24 @@ def test_no_numpy_loaded(code):
 
 def test_analytic_model_loads_numpy():
     assert "numpy" in modules_after(ANALYZE_LCC, "numpy")
+
+
+@pytest.mark.parametrize("code", [
+    "import opsloss.cli",
+    "from opsloss.cli import main\n"
+    "assert main(['tui', '--loads', '0.4,0.3,0.2,0.1']) == 0",
+    "from opsloss.cli import main\n"
+    "assert main(['tui', '--m', '16', '--total', '2', '--tui', '0.6']) == 0",
+    ANALYZE_LCC,
+    ANALYZE_ORACLE,
+    "from opsloss.cli import main\n"
+    "assert main(['sweep', '--preset', 'fig6', '--models', 'lcc']) == 0",
+])
+def test_no_hashlib_loaded(code):
+    # hashlib maps OpenSSL's libcrypto; only a simulation's stream seeds need it.
+    assert modules_after(code, "hashlib") == []
+    assert modules_after(code, "_hashlib") == []
+
+
+def test_simulation_loads_hashlib():
+    assert "hashlib" in modules_after(SIMULATE_CLEARED, "hashlib")
