@@ -15,10 +15,11 @@ tree is left alone. Pair i runs every workload once on each side with seed
 first in odd ones. Each run lasts the ``run_seconds`` of BENCHMARK.json.
 
 Writes ``BENCH_<label>.json`` at the root of this checkout: every run's
-result object (the last line perfbench prints) and its ungated ``wall_s``,
+result object (the last line perfbench prints) and its ungated ``wall_s``
+and, where the workload reports it (``sim-crossval``), ``attempts_per_s``;
 then per workload, metric and side the median and quartiles of the
-end-to-end metrics and ``wall_s``, and the number of pairs in which the
-change was strictly better.
+end-to-end metrics and those ungated figures, and the number of pairs in
+which the change was strictly better.
 """
 
 import argparse
@@ -34,8 +35,10 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 DETAIL = "# detail "
-# Recorded next to the gated metrics of BENCHMARK.json, never gated.
-UNGATED = [{"name": "wall_s", "unit": "s", "better": "lower"}]
+# Recorded next to the gated metrics of BENCHMARK.json, never gated, on
+# each workload whose ``# detail`` line has them.
+UNGATED = [{"name": "wall_s", "unit": "s", "better": "lower"},
+           {"name": "attempts_per_s", "unit": "1/s", "better": "higher"}]
 
 
 def git(*args: str) -> bytes:
@@ -67,7 +70,8 @@ def run(root: Path, workload: str, seed: int, seconds: float) -> tuple[dict, dic
     lines = proc.stdout.strip().splitlines()
     detail = next(json.loads(line.removeprefix(DETAIL)) for line in lines
                   if line.startswith(DETAIL))
-    ungated = {m["name"]: detail["e2e"][m["name"]][0] for m in UNGATED}
+    ungated = {m["name"]: detail["e2e"][m["name"]][0] for m in UNGATED
+               if m["name"] in detail["e2e"]}
     return json.loads(lines[-1]), ungated
 
 
@@ -82,6 +86,8 @@ def summarize(runs: list[dict], metrics: list[dict]) -> dict:
     out = {}
     for m in metrics:
         name = m["name"]
+        if name not in runs[0]["result"]["metrics"] and name not in runs[0]["ungated"]:
+            continue  # an ungated figure this workload does not report
         by_pair: dict[int, dict[str, float]] = {}
         for r in runs:
             gated = r["result"]["metrics"]

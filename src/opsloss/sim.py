@@ -24,7 +24,11 @@ N, min(N, W) and the time with N >= W, and keeps one per-source ledger of
 carried time, the lengths of unblocked attempts. An attempt is blocked
 when N >= W, and that is the only place the modes differ: a blocked
 cleared attempt schedules a retry after a fresh idle period, a blocked
-held attempt transmits anyway and its packet is lost.
+held attempt transmits anyway and its packet is lost. The event heap holds
+one entry per source: (t, i) for its next attempt, (t, ~i) for the end of
+its transmission. Each event swaps its entry for the source's next, so
+keys are unique and pop in time order; an exact tie, which continuous
+draws are not expected to make, breaks on the integer, so ends pop first.
 
 Time is in units of the mean packet length (departure intensity 1).
 Every attempt draws its packet length, so the per-source offered-time
@@ -48,7 +52,7 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
-from heapq import heappop, heappush
+from heapq import heapify, heapreplace
 from typing import Sequence
 
 from .errors import EstimationError, SourceCountError
@@ -59,8 +63,6 @@ MODES = ("cleared", "held")
 # per source, and max RSS grows by about 3.1 KB per source, so at the cap a
 # run needs about 1.6 GB. Analytic models take up to SOURCE_CAP sources.
 SIM_SOURCE_CAP = 2 ** 19
-
-_ATTEMPT, _END = 0, 1
 
 
 @dataclass(frozen=True)
@@ -128,7 +130,6 @@ class ReplicationStats:
     call_congestion: float
     traffic_congestion: float
     per_source_attempts: tuple[int, ...]
-    per_source_blocked: tuple[int, ...]
     per_source_offered: tuple[float, ...]
     per_source_carried: tuple[float, ...]
     per_source_call: tuple[float, ...]
@@ -223,17 +224,13 @@ def _replicate(spec: SimSpec, replication: int):
     horizon, warmup = spec.horizon, spec.warmup
     held = spec.mode == "held"
     lam = arrival_intensities(a)
-    rngs = _source_rngs(spec, replication)
+    draw = [rng.random for rng in _source_rngs(spec, replication)]
     # -log(1 - U) / rate is exactly what random.expovariate computes; inlined
     # to save a method call per draw, so the streams are unchanged.
     log = math.log
 
-    heap: list[tuple[float, int, int, int]] = []
-    seq = 0
-    for i in range(m):
-        if lam[i] > 0.0:
-            heappush(heap, (-log(1.0 - rngs[i].random()) / lam[i], seq, _ATTEMPT, i))
-            seq += 1
+    heap = [(-log(1.0 - draw[i]()) / lam[i], i) for i in range(m) if lam[i] > 0.0]
+    heapify(heap)
 
     n = 0
     prev = 0.0
@@ -246,7 +243,7 @@ def _replicate(spec: SimSpec, replication: int):
     carried = [0.0] * m
 
     while heap:
-        t, _, kind, i = heappop(heap)
+        t, i = heap[0]
         if t >= horizon:
             break
         if n and t > warmup:
@@ -258,9 +255,11 @@ def _replicate(spec: SimSpec, replication: int):
                 carried_int += w * span
                 all_busy_time += span
         prev = t
-        rng = rngs[i]
-        if kind == _ATTEMPT:
-            length = -log(1.0 - rng.random())
+        if i < 0:
+            i = ~i
+            n -= 1
+        else:
+            length = -log(1.0 - draw[i]())
             is_blocked = n >= w
             if t >= warmup:
                 attempts[i] += 1
@@ -269,15 +268,12 @@ def _replicate(spec: SimSpec, replication: int):
                     blocked[i] += 1
                 else:
                     carried[i] += length
-            if is_blocked and not held:
-                heappush(heap, (t - log(1.0 - rng.random()) / lam[i], seq, _ATTEMPT, i))
-            else:
+            if held or not is_blocked:
                 n += 1
-                heappush(heap, (t + length, seq, _END, i))
-        else:
-            n -= 1
-            heappush(heap, (t - log(1.0 - rng.random()) / lam[i], seq, _ATTEMPT, i))
-        seq += 1
+                heapreplace(heap, (t + length, ~i))
+                continue
+        # After an end or a blocked cleared attempt: the next attempt.
+        heapreplace(heap, (t - log(1.0 - draw[i]()) / lam[i], i))
     if n and horizon > max(prev, warmup):
         span = horizon - max(prev, warmup)
         offered_int += n * span
@@ -320,7 +316,6 @@ def _run_replication(spec: SimSpec, replication: int) -> ReplicationStats:
         call_congestion=call_c,
         traffic_congestion=traffic_c,
         per_source_attempts=tuple(attempts),
-        per_source_blocked=tuple(blocked),
         per_source_offered=tuple(offered),
         per_source_carried=tuple(carried),
         per_source_call=tuple(blocked[i] / attempts[i] if attempts[i] else 0.0

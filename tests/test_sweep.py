@@ -261,3 +261,25 @@ def test_cleared_sim_result_is_pinned_to_full_precision():
     ]
     assert res.replications[0].per_source_carried == (
         873.9794009266697, 51.63945493601057, 259.0313216037165)
+
+
+def test_held_sim_result_is_pinned_to_full_precision():
+    res = simulate(SimSpec(loads=(0.6, 0.1, 0.3), w=1, mode="held", horizon=2e3,
+                           replications=3, base_seed=5))
+    assert res.time_congestion == Estimate(0.7393572170631284, 0.036760202531640834)
+    assert res.call_congestion == Estimate(0.48090917519345, 0.061677150886320364)
+    assert res.traffic_congestion == Estimate(0.24693967420868965, 0.02818855587730005)
+    assert res.per_source_call == (Estimate(0.3625706962437954, 0.04351157303168445),
+                                   Estimate(0.7111160081425814, 0.2645616634536754),
+                                   Estimate(0.6442868609277607, 0.01629961487429761))
+    assert res.per_source_traffic == (Estimate(0.3371249747514928, 0.026743322470475908),
+                                      Estimate(0.6951924214702802, 0.3136159300440148),
+                                      Estimate(0.6609915532518486, 0.06410957061534758))
+    assert [(r.attempts, r.blocked, r.offered_time, r.carried_time)
+            for r in res.replications] == [
+        (1754, 804, 1738.4438312460336, 941.0954030236737),
+        (1747, 833, 1728.7217818563506, 932.6940430701314),
+        (1793, 910, 1837.8939355124976, 941.4772781157335),
+    ]
+    assert res.replications[0].per_source_carried == (
+        708.4109747587397, 69.89868049921908, 162.78574776571497)
