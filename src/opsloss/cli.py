@@ -4,21 +4,22 @@ Thin adapters over the library functions. CSV goes to standard output
 (or a file for sweeps), diagnostics to standard error. Exit codes:
 0 success, 2 usage or domain error, 1 internal error.
 
-Each subcommand accepts --config FILE with ``key = value`` lines
-supplying defaults that explicit flags override. The keys are exactly
-the subcommand's flags without the dashes (``seed = 7`` for
-``--seed 7``), and the values go through the same parser as the flags,
-so a bad value is the same usage error; unknown keys are rejected.
-
-Simulation settings that are not given keep the defaults of
-``SimSpec``. The base seed comes from ``--seed``, else from a sweep
-spec file's ``seed``, else from the ENGSET_SEED environment variable,
-else 0.
+Each subcommand accepts --config FILE, and ``sweep`` also --spec FILE,
+of ``key = value`` lines. The keys are the subcommand's long option
+names without the dashes (``seed = 7`` for ``--seed 7``), and the values
+go through the same parser as the flags, so a bad value is the same
+usage error; unknown and repeated keys, ``spec`` and ``config`` are
+rejected. A setting comes from the command line, else the spec file,
+else the config file. The ``simulate`` and ``sweep`` options are stored
+under their SimSpec and SweepSpec field names, and unset fields keep the
+spec's defaults, but an unset base seed is $ENGSET_SEED, else 0. A
+sweep's name defaults to its spec file's stem.
 """
 
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import math
 import os
 import sys
@@ -63,8 +64,10 @@ def _default_seed() -> int:
     return _parse_seed(raw) if raw else 0
 
 
-def _read_key_values(path: str) -> dict[str, str]:
-    entries: dict[str, str] = {}
+def _read_key_values(path: str, dests: dict[str, str]) -> dict[str, str]:
+    """The ``key = value`` lines of ``path`` as ``--key=value`` arguments by
+    dest, where ``dests`` maps each valid key to its dest."""
+    arguments: dict[str, str] = {}
     with open(path, encoding="utf-8") as fh:
         for lineno, raw in enumerate(fh, 1):
             line = raw.strip()
@@ -73,41 +76,47 @@ def _read_key_values(path: str) -> dict[str, str]:
             if "=" not in line:
                 raise ValueError(f"{path}:{lineno}: expected 'key = value', got {line!r}")
             key, _, value = line.partition("=")
-            entries[key.strip().replace("-", "_")] = value.strip()
-    return entries
+            key = key.strip()
+            if key not in dests:
+                raise ValueError(f"{path}:{lineno}: unknown key {key!r}; "
+                                 f"valid keys: {', '.join(sorted(dests))}")
+            if dests[key] in arguments:
+                raise ValueError(f"{path}:{lineno}: repeated key {key!r}")
+            arguments[dests[key]] = f"--{key}={value.strip()}"
+    return arguments
 
 
-def _apply_config(parser: argparse.ArgumentParser, args: argparse.Namespace) -> None:
-    """Fill the options not given on the command line from ``args.config``.
+def _dests(parser: argparse.ArgumentParser) -> dict[str, str]:
+    """Each long option of ``parser`` that a file may set, without its
+    dashes, mapped to its dest."""
+    return {option[2:]: action.dest for action in parser._actions
+            for option in action.option_strings
+            if option.startswith("--") and action.dest not in ("help", "spec", "config")}
 
-    The keys are the subcommand's own option names. The values go through
-    the same parser as the flags, so they get the same conversions and
-    choices and the same usage errors.
+
+def _apply_config(args: argparse.Namespace) -> None:
+    """Fill the options not given on the command line from ``--spec``, then
+    from ``--config``.
+
+    The keys are the subcommand's own long option names. The values go
+    through the same parser as the flags, so they get the same conversions
+    and choices and the same usage errors.
     """
-    entries = _read_key_values(args.config)
-    keys = set(vars(args)) - {"command", "func", "config"}
-    for key in entries:
-        if key not in keys:
-            raise ValueError(f"unknown config key {key!r}; valid keys: {', '.join(sorted(keys))}")
-    parsed = parser.parse_args([args.command, *(f"--{k}={v}" for k, v in entries.items())])
-    for key in entries:
-        if getattr(args, key) is None:
-            setattr(args, key, getattr(parsed, key))
+    for path in filter(None, (getattr(args, "spec", None), args.config)):
+        arguments = _read_key_values(path, _dests(args.parser))
+        parsed = args.parser.parse_args(list(arguments.values()))
+        for dest in arguments:
+            if getattr(args, dest) is None:
+                setattr(args, dest, getattr(parsed, dest))
 
 
-# Simulation flag -> SimSpec field.
-_SIM_FLAGS = {"horizon": "horizon", "warmup": "warmup", "reps": "replications",
-              "seed": "base_seed"}
-
-
-def _sim_settings(args: argparse.Namespace, seeded: bool = False) -> dict:
-    """The SimSpec fields the simulation flags give; with a seed from
-    neither them nor (``seeded``) a spec file, the seed is $ENGSET_SEED or 0."""
-    changes = {field: getattr(args, flag) for flag, field in _SIM_FLAGS.items()
-               if getattr(args, flag) is not None}
-    if not seeded and "base_seed" not in changes:
-        changes["base_seed"] = _default_seed()
-    return changes
+def _spec_fields(args: argparse.Namespace, spec_type: type) -> dict:
+    """The ``spec_type`` fields the options set; with no seed set, the seed
+    is $ENGSET_SEED or 0."""
+    if args.base_seed is None:
+        args.base_seed = _default_seed()
+    return {field.name: getattr(args, field.name) for field in dataclasses.fields(spec_type)
+            if getattr(args, field.name) is not None}
 
 
 # ----------------------------------------------------------------------
@@ -130,8 +139,9 @@ def cmd_tui(args: argparse.Namespace) -> int:
 
 
 def _require(args: argparse.Namespace, *flags: str) -> None:
+    dests = _dests(args.parser)
     for flag in flags:
-        if getattr(args, flag) is None:
+        if getattr(args, dests[flag]) is None:
             raise ValueError(f"--{flag} is required")
 
 
@@ -146,7 +156,7 @@ def cmd_analyze(args: argparse.Namespace) -> int:
 
 def cmd_simulate(args: argparse.Namespace) -> int:
     _require(args, "loads", "w", "mode")
-    spec = SimSpec(args.loads, args.w, args.mode, **_sim_settings(args))
+    spec = SimSpec(**_spec_fields(args, SimSpec))
     if spec.replications < 2:
         raise ValueError("confidence intervals need at least 2 replications")
     res = simulate(spec)
@@ -159,39 +169,16 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     return 0
 
 
-_SPEC_FILE_CONVERTERS = {"name": str, "m": int, "w": _parse_int_list, "load": float,
-                         "tui": _parse_float_list, "models": _parse_str_list,
-                         "horizon": float, "warmup": float, "replications": int,
-                         "seed": _parse_seed}
-# Spec-file keys named unlike their SweepSpec field.
-_SPEC_FILE_FIELDS = {"w": "w_values", "load": "per_wavelength_load", "tui": "tui_values",
-                     "seed": "base_seed"}
-
-
-def _sweep_spec_fields(path: str) -> dict:
-    """The SweepSpec fields the spec file gives, its name defaulting to the
-    file's stem."""
-    entries = _read_key_values(path)
-    unknown = sorted(set(entries) - set(_SPEC_FILE_CONVERTERS))
-    if unknown:
-        raise ValueError(f"unknown sweep spec keys {unknown}; "
-                         f"valid keys: {', '.join(sorted(_SPEC_FILE_CONVERTERS))}")
-    fields = {_SPEC_FILE_FIELDS.get(k, k): _SPEC_FILE_CONVERTERS[k](v) for k, v in entries.items()}
-    for required in ("m", "w", "load"):
-        if required not in entries:
-            raise ValueError(f"sweep spec file is missing required key {required!r}")
-    fields.setdefault("name", os.path.splitext(os.path.basename(path))[0])
-    return fields
-
-
 def cmd_sweep(args: argparse.Namespace) -> int:
-    if (args.preset is None) == (args.spec is None):
-        raise ValueError("provide exactly one of --preset or --spec")
-    changes = {} if args.spec is None else _sweep_spec_fields(args.spec)
-    overrides = {"per_wavelength_load": args.load, "models": args.models}
-    changes.update({k: v for k, v in overrides.items() if v is not None})
-    changes.update(_sim_settings(args, seeded="base_seed" in changes))
-    spec = SweepSpec(**changes) if args.preset is None else make_preset(args.preset, **changes)
+    if args.preset is not None and args.spec is not None:
+        raise ValueError("--preset and --spec are mutually exclusive")
+    if args.preset is None:
+        _require(args, "m", "w", "load")
+        if args.name is None:
+            args.name = ("sweep" if args.spec is None
+                         else os.path.splitext(os.path.basename(args.spec))[0])
+    fields = _spec_fields(args, SweepSpec)
+    spec = SweepSpec(**fields) if args.preset is None else make_preset(args.preset, **fields)
     text = rows_to_csv(run_sweep(spec))
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
@@ -216,49 +203,55 @@ def build_parser() -> argparse.ArgumentParser:
     p_tui.add_argument("--m", type=int, help="number of channels (synthesis)")
     p_tui.add_argument("--total", type=float, help="total load (synthesis)")
     p_tui.add_argument("--tui", type=float, help="target uniformity index (synthesis)")
-    p_tui.add_argument("--config", help="key = value defaults file")
     p_tui.set_defaults(func=cmd_tui)
 
     p_an = sub.add_parser("analyze", help="evaluate an analytic model")
     p_an.add_argument("--loads", type=_parse_float_list)
     p_an.add_argument("--w", type=int, help="wavelength channels at the output link")
     p_an.add_argument("--model", choices=ANALYZE_MODELS)
-    p_an.add_argument("--config", help="key = value defaults file")
     p_an.set_defaults(func=cmd_analyze)
 
     p_sim = sub.add_parser("simulate", help="run the event-driven simulator")
     p_sim.add_argument("--loads", type=_parse_float_list)
     p_sim.add_argument("--w", type=int)
     p_sim.add_argument("--mode", choices=MODES)
-    p_sim.add_argument("--horizon", type=float, help=f"simulated time (default {SimSpec.horizon:g})")
-    p_sim.add_argument("--warmup", type=float, help="default: 10%% of horizon")
-    p_sim.add_argument("--reps", type=int, help=f"replications (default {SimSpec.replications})")
-    p_sim.add_argument("--seed", type=_parse_seed, help="base seed (default $ENGSET_SEED or 0)")
-    p_sim.add_argument("--config", help="key = value defaults file")
     p_sim.set_defaults(func=cmd_simulate)
 
-    p_sw = sub.add_parser("sweep", help="run a named preset or a sweep spec file")
+    p_sw = sub.add_parser("sweep", help="run a preset, a sweep spec file or the sweep the flags give")
     p_sw.add_argument("--preset", help=f"one of: {', '.join(preset_names())}")
-    p_sw.add_argument("--spec", help="sweep spec file of key = value lines")
+    p_sw.add_argument("--spec", help="sweep spec file of key = value lines, keyed by this "
+                                     "command's options (m = 16 for --m 16); flags override it")
+    p_sw.add_argument("--name", help="name column (default: the spec file's stem, else sweep)")
+    p_sw.add_argument("--m", type=int, help="number of sources")
+    p_sw.add_argument("--w", dest="w_values", type=_parse_int_list,
+                      help="comma-separated channel counts")
+    p_sw.add_argument("--load", dest="per_wavelength_load", type=float,
+                      help="per-wavelength load")
+    p_sw.add_argument("--tui", dest="tui_values", type=_parse_float_list,
+                      help="comma-separated uniformity targets (default: a 0.05-step grid)")
     p_sw.add_argument("--models", type=_parse_str_list,
-                      help=f"override model list; subset of {', '.join(MODELS)}")
-    p_sw.add_argument("--load", type=float, help="override per-wavelength load")
-    p_sw.add_argument("--horizon", type=float)
-    p_sw.add_argument("--warmup", type=float)
-    p_sw.add_argument("--reps", type=int)
-    p_sw.add_argument("--seed", type=_parse_seed)
+                      help=f"subset of {', '.join(MODELS)} (default: the preset's, else lcc)")
     p_sw.add_argument("--out", help="write CSV here instead of stdout")
-    p_sw.add_argument("--config", help="key = value defaults file")
     p_sw.set_defaults(func=cmd_sweep)
+
+    for p in (p_sim, p_sw):
+        p.add_argument("--horizon", type=float,
+                       help=f"simulated time (default {SimSpec.horizon:g})")
+        p.add_argument("--warmup", type=float, help="default: 10%% of horizon")
+        p.add_argument("--reps", "--replications", dest="replications", type=int,
+                       help=f"replications (default {SimSpec.replications})")
+        p.add_argument("--seed", dest="base_seed", type=_parse_seed,
+                       help="base seed (default $ENGSET_SEED or 0)")
+    for p in sub.choices.values():
+        p.add_argument("--config", help="key = value defaults file")
+        p.set_defaults(parser=p)
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        if args.config:
-            _apply_config(parser, args)
+        _apply_config(args)
         return args.func(args)
     except (ValueError, EstimationError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -158,6 +158,7 @@ def test_criterion_07_baseline_error_grows_with_w(report):
               "literal W=16/0.6 point infeasible (strict xfail above)")
 
 
+@pytest.mark.slow
 def test_criterion_08_simulation_cross_validation(report):
     cells = 0
     covered = 0

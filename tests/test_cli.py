@@ -245,6 +245,39 @@ class TestSweepCommand:
         assert len(out.splitlines()) == 1 + 2 * 2 * 2 * 3
         assert out.splitlines()[1].startswith("mini,4,")
 
+    def test_flags_equal_spec_file(self, capsys, tmp_path):
+        spec = tmp_path / "mini.sweep"
+        spec.write_text("name = mini\nm = 4\nw = 1,2\nload = 0.5\n"
+                        "tui = 0.8,1.0\nmodels = lcc,classical\n")
+        by_spec = run_cli(capsys, "sweep", "--spec", str(spec))
+        by_flags = run_cli(capsys, "sweep", "--name", "mini", "--m", "4", "--w", "1,2",
+                           "--load", "0.5", "--tui", "0.8,1.0", "--models", "lcc,classical")
+        assert by_spec[0] == 0
+        assert by_flags[:2] == by_spec[:2]
+
+    def test_missing_m_without_preset_exits_2(self, capsys):
+        code, out, err = run_cli(capsys, "sweep", "--w", "1", "--load", "0.5")
+        assert code == 2
+        assert out == ""
+        assert "--m is required" in err
+
+    def test_spec_file_name_defaults_to_stem(self, capsys, tmp_path):
+        spec = tmp_path / "stem.sweep"
+        spec.write_text("m = 2\nw = 1\nload = 0.5\ntui = 1.0\n")
+        code, out, _ = run_cli(capsys, "sweep", "--spec", str(spec))
+        assert code == 0
+        assert out.splitlines()[1].startswith("stem,2,1,")
+
+    def test_spec_file_beats_config_file(self, capsys, tmp_path):
+        spec = tmp_path / "s.sweep"
+        spec.write_text("m = 2\nw = 1\nload = 0.5\ntui = 1.0\n")
+        cfg = tmp_path / "run.conf"
+        cfg.write_text("load = 0.3\n")
+        code, out, _ = run_cli(capsys, "sweep", "--spec", str(spec), "--config", str(cfg))
+        assert code == 0
+        assert out.splitlines()[1].startswith("s,2,1,0.500000000,")
+        assert (code, out) == run_cli(capsys, "sweep", "--spec", str(spec))[:2]
+
     def test_oversized_sim_sweep_exits_2(self, capsys, tmp_path):
         # Load synthesis takes this M, but one random.Random per source
         # would take about 6 GB.
@@ -290,6 +323,38 @@ class TestSweepCommand:
 
 
 class TestConfigFile:
+    @pytest.mark.parametrize("option", ["--config", "--spec"])
+    def test_repeated_key_exits_2(self, capsys, tmp_path, option):
+        path = tmp_path / "twice.sweep"
+        path.write_text("m = 2\nw = 1\nload = 0.5\nw = 3\n")
+        code, out, err = run_cli(capsys, "sweep", option, str(path))
+        assert code == 2
+        assert out == ""
+        assert f"{path}:4: repeated key 'w'" in err
+
+    @pytest.mark.parametrize("option", ["--config", "--spec"])
+    @pytest.mark.parametrize("key", ["reps", "replications"])
+    def test_reps_and_replications_keys(self, capsys, tmp_path, option, key):
+        path = tmp_path / "s.sweep"
+        path.write_text("m = 2\nw = 1\nload = 0.5\ntui = 1.0\nmodels = sim-cleared\n"
+                        f"horizon = 500\nseed = 3\n{key} = 3\n")
+        flags = ("sweep", "--name", "s", "--m", "2", "--w", "1", "--load", "0.5", "--tui", "1.0",
+                 "--models", "sim-cleared", "--horizon", "500", "--seed", "3")
+        by_file = run_cli(capsys, "sweep", "--name", "s", option, str(path))
+        by_flags = run_cli(capsys, *flags, "--reps", "3")
+        assert by_file[0] == 0
+        assert by_file[:2] == by_flags[:2]
+        assert by_flags[1] != run_cli(capsys, *flags, "--reps", "2")[1]
+
+    @pytest.mark.parametrize("option, key", [("--config", "spec"), ("--spec", "config"),
+                                             ("--config", "config")])
+    def test_file_may_not_name_spec_or_config(self, capsys, tmp_path, option, key):
+        path = tmp_path / "s.sweep"
+        path.write_text(f"m = 2\nw = 1\nload = 0.5\n{key} = other.sweep\n")
+        code, _, err = run_cli(capsys, "sweep", option, str(path))
+        assert code == 2
+        assert f"unknown key {key!r}" in err
+
     def test_config_supplies_defaults_flags_override(self, capsys, tmp_path):
         cfg = tmp_path / "analyze.conf"
         cfg.write_text("loads = 0.4,0.4\nw = 1\nmodel = lcc\n")
@@ -347,7 +412,7 @@ class TestConfigFile:
 
 
 class TestSweepSeedPrecedence:
-    """--seed > spec-file seed > ENGSET_SEED > 0."""
+    """--seed > spec-file seed > --config seed > ENGSET_SEED > 0."""
 
     SIM = ("--models", "sim-cleared", "--horizon", "500", "--reps", "2")
 
@@ -387,6 +452,19 @@ class TestSweepSeedPrecedence:
             (("7", seeded), (None, (*plain, "--seed", "3"))),
             (("7", plain), (None, (*plain, "--seed", "7"))),
             ((None, plain), (None, (*plain, "--seed", "0")))])
+
+    def test_config_file(self, capsys, monkeypatch, tmp_path):
+        body = "name = s\nm = 2\nw = 1\nload = 0.5\ntui = 0.8,1.0\n"
+        (tmp_path / "seeded.sweep").write_text(body + "seed = 3\n")
+        (tmp_path / "plain.sweep").write_text(body)
+        (tmp_path / "run.conf").write_text("seed = 4\n")
+        config = ("--config", str(tmp_path / "run.conf"))
+        seeded = ("--spec", str(tmp_path / "seeded.sweep"))
+        plain = ("--spec", str(tmp_path / "plain.sweep"))
+        self.assert_pairs(capsys, monkeypatch, [
+            (("7", (*seeded, *config, "--seed", "5")), (None, (*plain, "--seed", "5"))),
+            (("7", (*seeded, *config)), (None, (*plain, "--seed", "3"))),
+            (("7", (*plain, *config)), (None, (*plain, "--seed", "4")))])
 
     def test_environment_unread_when_a_seed_is_given(self, capsys, monkeypatch, tmp_path):
         spec = tmp_path / "seeded.sweep"
