@@ -27,16 +27,7 @@ _EXPORTS = {
                      "make_load_vector", "min_feasible_tui", "tui"], "traffic"),
 }
 
-__all__ = [
-    "ANALYTIC_MODELS", "BlockingMetrics", "CSV_HEADER", "CtmcSolution", "Estimate",
-    "EstimationError", "InfeasibleTuiError", "LoadVector", "METRICS", "MODELS",
-    "ReplicationStats", "SIM_SOURCE_CAP", "SOURCE_CAP", "STATE_CAP", "SimResult", "SimSpec",
-    "SourceCountError", "StateSpaceError", "SweepRow", "SweepSpec", "ZeroTrafficError",
-    "arrival_intensities", "as_load_vector", "confidence_interval", "ctmc_oracle",
-    "default_tui_grid", "engset_classical", "engset_lcc", "engset_ofl",
-    "make_load_vector", "make_preset", "min_feasible_tui",
-    "preset_names", "rows_to_csv", "run_sweep", "simulate", "tui",
-]
+__all__ = sorted(_EXPORTS)
 
 __version__ = "0.1.0"
 

@@ -13,7 +13,9 @@ rejected. A setting comes from the command line, else the spec file,
 else the config file. The ``simulate`` and ``sweep`` options are stored
 under their SimSpec and SweepSpec field names, and unset fields keep the
 spec's defaults, but an unset base seed is $ENGSET_SEED, else 0. A
-sweep's name defaults to its spec file's stem.
+seed is an exact integer, or a float of integral value (``1e3``). A
+sweep's name defaults to its spec file's stem. ``sweep --preset P --out
+FILE`` writes the bytes the command prints without ``--out``.
 """
 
 from __future__ import annotations
@@ -26,11 +28,16 @@ import sys
 
 from .errors import EstimationError
 from .sim import MODES, SimSpec, simulate
-from .sweep import (ANALYTIC_MODELS, MODELS, SweepSpec, bind_at_first_call, make_preset,
-                    metric_rows, preset_names, rows_to_csv, run_sweep)
+from .sweep import (ANALYTIC_MODELS, MODELS, SweepSpec, make_preset, metric_rows, preset_names,
+                    rows_to_csv, run_sweep)
 from .traffic import LoadVector, make_load_vector, tui as compute_tui
 
-ctmc_oracle = bind_at_first_call(globals(), "ctmc", "ctmc_oracle")
+
+def ctmc_oracle(loads: LoadVector, w: int):
+    """``opsloss.ctmc.ctmc_oracle``, imported inside the call."""
+    from .ctmc import ctmc_oracle
+    return ctmc_oracle(loads, w)
+
 
 # The sweep's analytic models plus the brute-force oracle, looked up here
 # when called.
@@ -50,7 +57,10 @@ def _parse_str_list(text: str) -> tuple[str, ...]:
 
 
 def _parse_seed(text: str) -> int:
-    value = float(text)  # scientific notation allowed
+    try:
+        return int(text)  # exact, however large
+    except ValueError:
+        value = float(text)  # scientific notation allowed
     if not math.isfinite(value):
         raise ValueError(f"seed must be a finite integer, got {text!r}")
     seed = int(value)

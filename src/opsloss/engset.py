@@ -374,10 +374,5 @@ def engset_classical(s: int, per_source_load: float, w: int) -> BlockingMetrics:
     """
     if s < 1:
         raise ValueError("S must be >= 1")
-    if w < 1:
-        raise ValueError("W must be >= 1")
-    if not (0.0 <= per_source_load < 1.0):
-        raise ValueError(f"per-source load {per_source_load!r} outside [0, 1)")
-    if per_source_load == 0.0:
-        raise ZeroTrafficError("congestion ratios undefined for zero offered traffic")
-    return _lcc_metrics(_LoadClasses((per_source_load,), (s,), (0,) * s), w)
+    a, _ = _validated((per_source_load,), w)
+    return _lcc_metrics(_LoadClasses(a, (s,), (0,) * s), w)

@@ -11,6 +11,11 @@ total/M, deliberately blind to the asymmetry.
 CSV columns: name,M,W,A,tui,model,metric,value,ci_half_width,status,note
 with floats printed at 9 significant digits and empty strings for absent
 values.
+
+The module-level ``engset_lcc``, ``engset_ofl`` and ``engset_classical``
+import the real solver inside the call and forward it, and the model
+table looks them up here at call time: so numpy loads only at the first
+solve, and a wrapper installed on these names sees every call.
 """
 
 from __future__ import annotations
@@ -20,7 +25,6 @@ import dataclasses
 import io
 import math
 from dataclasses import dataclass
-from importlib import import_module
 from typing import TYPE_CHECKING, Callable
 
 from .errors import InfeasibleTuiError
@@ -32,27 +36,20 @@ if TYPE_CHECKING:
     from .engset import BlockingMetrics
 
 
-def bind_at_first_call(namespace: dict, module: str, name: str) -> Callable:
-    """A stand-in for ``opsloss.<module>.<name>`` under ``namespace[name]``.
-
-    Its first call imports the module, puts the real function in
-    ``namespace[name]`` (unless another function was installed there since)
-    and forwards the call. So a process loads the analytic solvers, and
-    numpy with them, only when it solves something.
-    """
-    def first_call(*args):
-        fn = getattr(import_module(f".{module}", __package__), name)
-        if namespace.get(name) is first_call:
-            namespace[name] = fn
-        return fn(*args)
-
-    first_call.__name__ = first_call.__qualname__ = name
-    return first_call
+def engset_lcc(loads: LoadVector, w: int) -> BlockingMetrics:
+    from .engset import engset_lcc
+    return engset_lcc(loads, w)
 
 
-engset_lcc = bind_at_first_call(globals(), "engset", "engset_lcc")
-engset_ofl = bind_at_first_call(globals(), "engset", "engset_ofl")
-engset_classical = bind_at_first_call(globals(), "engset", "engset_classical")
+def engset_ofl(loads: LoadVector, w: int) -> BlockingMetrics:
+    from .engset import engset_ofl
+    return engset_ofl(loads, w)
+
+
+def engset_classical(s: int, per_source_load: float, w: int) -> BlockingMetrics:
+    from .engset import engset_classical
+    return engset_classical(s, per_source_load, w)
+
 
 # Analytic models by name, each fn(loads, w). The solvers are looked up in
 # this module when called, so a wrapper installed on these names (as

@@ -1,8 +1,6 @@
 """Command line behaviour: outputs, exit codes, config files, determinism."""
 
-import os
-import subprocess
-import sys
+import shlex
 import time
 import tracemalloc
 from pathlib import Path
@@ -12,7 +10,7 @@ import pytest
 import opsloss
 from opsloss import (ANALYTIC_MODELS, SIM_SOURCE_CAP, SOURCE_CAP, SweepSpec, make_preset,
                      preset_names)
-from opsloss.cli import main
+from opsloss.cli import build_parser, main
 
 SRC = Path(opsloss.__file__).resolve().parent.parent
 
@@ -181,6 +179,17 @@ class TestSimulateCommand:
         assert code == 2
         assert "seed must be a finite integer" in err
 
+    def test_seeds_past_float_precision_differ(self, capsys):
+        # 2**53 + 1 has no float; read through float it would equal 2**53.
+        outs = []
+        for seed in ("9007199254740993", "9007199254740992"):
+            code, out, _ = run_cli(capsys, "simulate", "--loads", "0.4,0.4", "--w", "1",
+                                   "--mode", "cleared", "--reps", "2", "--horizon", "500",
+                                   "--seed", seed)
+            assert code == 0
+            outs.append(out)
+        assert outs[0] != outs[1]
+
     def test_scientific_seed(self, capsys):
         code, _, _ = run_cli(capsys, "simulate", "--loads", "0.4", "--w", "1",
                              "--mode", "held", "--reps", "2", "--horizon", "1e3",
@@ -306,14 +315,20 @@ class TestSweepCommand:
         assert code == 2
         assert "wavelength" in err
 
-    def test_out_file(self, capsys, tmp_path):
-        target = tmp_path / "rows.csv"
-        code, out, _ = run_cli(capsys, "sweep", "--preset", "fig5a", "--models", "lcc",
-                               "--out", str(target))
+    @pytest.mark.parametrize("name", preset_names())
+    def test_out_file(self, capsys, tmp_path, name):
+        # The file holds the bytes the same command prints without --out.
+        models = [m for m in make_preset(name).models if m in ANALYTIC_MODELS]
+        argv = ("sweep", "--preset", name, "--models", ",".join(models))
+        target = tmp_path / f"{name}.csv"
+        code, out, _ = run_cli(capsys, *argv, "--out", str(target))
         assert code == 0
         assert out == ""
-        text = target.read_text()
-        assert text.splitlines()[0].startswith("name,M,W")
+        code, printed, _ = run_cli(capsys, *argv)
+        assert code == 0
+        text = target.read_text(encoding="utf-8")
+        assert text.startswith("name,M,W")
+        assert text == printed
 
     def test_preset_and_spec_mutually_exclusive(self, capsys, tmp_path):
         spec = tmp_path / "x.sweep"
@@ -475,29 +490,6 @@ class TestSweepSeedPrecedence:
             assert code == 0, err
 
 
-class TestRunFiguresScript:
-    def test_analytic_only_matches_the_cli(self, capsys, tmp_path):
-        env = dict(os.environ, PYTHONPATH=str(SRC))
-        subprocess.run([sys.executable, str(SRC.parent / "scripts" / "run_figures.py"),
-                        "--analytic-only", "--seed", "1e3", "--outdir", str(tmp_path)],
-                       env=env, check=True, capture_output=True)
-        for name in preset_names():
-            models = [m for m in make_preset(name).models if m in ANALYTIC_MODELS]
-            code, out, _ = run_cli(capsys, "sweep", "--preset", name, "--models", ",".join(models))
-            assert code == 0
-            assert (tmp_path / f"{name}.csv").read_text(encoding="utf-8") == out
-
-    def test_sim_run_settings_match_the_cli(self, capsys, tmp_path):
-        settings = ("--horizon", "200", "--reps", "2", "--seed", "5")
-        env = dict(os.environ, PYTHONPATH=str(SRC))
-        subprocess.run([sys.executable, str(SRC.parent / "scripts" / "run_figures.py"),
-                        "--presets", "fig3", *settings, "--outdir", str(tmp_path)],
-                       env=env, check=True, capture_output=True)
-        code, out, _ = run_cli(capsys, "sweep", "--preset", "fig3", *settings)
-        assert code == 0
-        assert (tmp_path / "fig3.csv").read_text(encoding="utf-8") == out
-
-
 class TestUsageErrors:
     def test_missing_subcommand_is_usage_error(self, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -514,3 +506,18 @@ class TestUsageErrors:
                                "--model", "lcc")
         assert code == 2
         assert "outside" in err
+
+
+def test_readme_command_lines_parse():
+    # Every ``opsloss ...`` line of the README's sh blocks, comments cut, is
+    # parsed only: nothing is run.
+    lines, in_sh = [], False
+    for line in (SRC.parent / "README.md").read_text(encoding="utf-8").splitlines():
+        if line.startswith("```"):
+            in_sh = line == "```sh"
+        elif in_sh and line.startswith("opsloss "):
+            lines.append(line.partition("#")[0])
+    assert len(lines) >= 7
+    parser = build_parser()
+    for line in lines:
+        assert parser.parse_args(shlex.split(line)[1:]).func is not None, line

@@ -1,9 +1,11 @@
 """The package surface and the late-bound solver names.
 
-``opsloss`` exports its names lazily, and ``opsloss.sweep`` and
-``opsloss.cli`` reach the analytic solvers through module globals that
-are read at call time. A wrapper installed on one of those globals, as
-perfbench's traced runs install one, must see every call.
+``opsloss`` exports its names lazily. ``opsloss.sweep`` and
+``opsloss.cli`` reach the analytic solvers and the oracle through
+module-level functions that import the real one inside the call, and
+their model tables look those names up at call time. A wrapper
+installed on one of those names, as perfbench's traced runs install
+one, must see every call.
 """
 
 import importlib
@@ -17,11 +19,9 @@ import pytest
 
 import opsloss
 import opsloss.cli
-import opsloss.engset
 import opsloss.sweep
-from opsloss import LoadVector, SweepSpec, run_sweep
+from opsloss import SweepSpec, run_sweep
 from opsloss.cli import main
-from opsloss.sweep import bind_at_first_call
 
 SRC = str(Path(opsloss.__file__).resolve().parent.parent)
 
@@ -78,18 +78,3 @@ class TestLateBoundSolvers:
         assert main(argv) == 0
         assert wrapper.calls == 2
         assert capsys.readouterr().out.count("oracle,") == 6
-
-    def test_first_call_binds_the_solver(self):
-        namespace: dict = {}
-        stub = namespace["engset_lcc"] = bind_at_first_call(namespace, "engset", "engset_lcc")
-        assert stub.__name__ == "engset_lcc"
-        loads = LoadVector((0.4, 0.4))
-        assert stub(loads, 1) == opsloss.engset.engset_lcc(loads, 1)
-        assert namespace["engset_lcc"] is opsloss.engset.engset_lcc
-
-    def test_first_call_keeps_an_installed_wrapper(self):
-        namespace: dict = {}
-        stub = bind_at_first_call(namespace, "engset", "engset_lcc")
-        wrapper = namespace["engset_lcc"] = counting(stub)
-        wrapper(LoadVector((0.4, 0.4)), 1)
-        assert namespace["engset_lcc"] is wrapper
