@@ -19,7 +19,8 @@ result object (the last line perfbench prints) and its ungated ``wall_s``
 and, where the workload reports it (``sim-crossval``), ``attempts_per_s``;
 then per workload, metric and side the median and quartiles of the
 end-to-end metrics and those ungated figures, and the number of pairs in
-which the change was strictly better.
+which the change was strictly better. A label whose file already exists
+is refused before anything runs, so no record is overwritten.
 """
 
 import argparse
@@ -114,6 +115,9 @@ def main(argv=None) -> int:
     seeds = [int(s) for s in args.seeds.split(",")]
     if args.pairs < 1:
         parser.error("--pairs must be >= 1")
+    out = ROOT / f"BENCH_{args.label}.json"
+    if out.exists():
+        parser.error(f"{out.name} already exists; choose another --label")
     spec = json.loads((ROOT / "BENCHMARK.json").read_text())
     seconds = spec["run_seconds"]
     parent_commit = git("rev-parse", args.parent).decode().strip()
@@ -150,7 +154,6 @@ def main(argv=None) -> int:
                                  spec["end_to_end"] + UNGATED)
                     for w in workloads},
     }
-    out = ROOT / f"BENCH_{args.label}.json"
     out.write_text(json.dumps(record, indent=1) + "\n")
     print(f"wrote {out}", file=sys.stderr)
     return 0

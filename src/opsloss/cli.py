@@ -45,11 +45,19 @@ ANALYZE_MODELS = {**ANALYTIC_MODELS, "oracle": lambda loads, w: ctmc_oracle(load
 
 
 def _parse_float_list(text: str) -> tuple[float, ...]:
-    return tuple(float(x) for x in text.split(","))
+    try:
+        return tuple(float(x) for x in text.split(","))
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"expected comma-separated numbers, got {text!r}") from None
 
 
 def _parse_int_list(text: str) -> tuple[int, ...]:
-    return tuple(int(x) for x in text.split(","))
+    try:
+        return tuple(int(x) for x in text.split(","))
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"expected comma-separated integers, got {text!r}") from None
 
 
 def _parse_str_list(text: str) -> tuple[str, ...]:
@@ -60,18 +68,25 @@ def _parse_seed(text: str) -> int:
     try:
         return int(text)  # exact, however large
     except ValueError:
+        pass
+    try:
         value = float(text)  # scientific notation allowed
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"seed must be an integer, got {text!r}") from None
     if not math.isfinite(value):
-        raise ValueError(f"seed must be a finite integer, got {text!r}")
+        raise argparse.ArgumentTypeError(f"seed must be a finite integer, got {text!r}")
     seed = int(value)
     if seed != value:
-        raise ValueError(f"seed must be an integer, got {text!r}")
+        raise argparse.ArgumentTypeError(f"seed must be an integer, got {text!r}")
     return seed
 
 
 def _default_seed() -> int:
     raw = os.environ.get("ENGSET_SEED")
-    return _parse_seed(raw) if raw else 0
+    try:
+        return _parse_seed(raw) if raw else 0
+    except argparse.ArgumentTypeError as exc:
+        raise ValueError(f"ENGSET_SEED: {exc}") from None
 
 
 def _read_key_values(path: str, dests: dict[str, str]) -> dict[str, str]:
@@ -233,11 +248,11 @@ def build_parser() -> argparse.ArgumentParser:
                                      "command's options (m = 16 for --m 16); flags override it")
     p_sw.add_argument("--name", help="name column (default: the spec file's stem, else sweep)")
     p_sw.add_argument("--m", type=int, help="number of sources")
-    p_sw.add_argument("--w", dest="w_values", type=_parse_int_list,
+    p_sw.add_argument("--w", dest="w_values", type=_parse_int_list, metavar="W",
                       help="comma-separated channel counts")
-    p_sw.add_argument("--load", dest="per_wavelength_load", type=float,
+    p_sw.add_argument("--load", dest="per_wavelength_load", type=float, metavar="LOAD",
                       help="per-wavelength load")
-    p_sw.add_argument("--tui", dest="tui_values", type=_parse_float_list,
+    p_sw.add_argument("--tui", dest="tui_values", type=_parse_float_list, metavar="TUI",
                       help="comma-separated uniformity targets (default: a 0.05-step grid)")
     p_sw.add_argument("--models", type=_parse_str_list,
                       help=f"subset of {', '.join(MODELS)} (default: the preset's, else lcc)")
@@ -249,8 +264,8 @@ def build_parser() -> argparse.ArgumentParser:
                        help=f"simulated time (default {SimSpec.horizon:g})")
         p.add_argument("--warmup", type=float, help="default: 10%% of horizon")
         p.add_argument("--reps", "--replications", dest="replications", type=int,
-                       help=f"replications (default {SimSpec.replications})")
-        p.add_argument("--seed", dest="base_seed", type=_parse_seed,
+                       metavar="REPS", help=f"replications (default {SimSpec.replications})")
+        p.add_argument("--seed", dest="base_seed", type=_parse_seed, metavar="SEED",
                        help="base seed (default $ENGSET_SEED or 0)")
     for p in sub.choices.values():
         p.add_argument("--config", help="key = value defaults file")

@@ -212,17 +212,12 @@ def ctmc_oracle(loads: LoadVector | Sequence[float],
     # gives (A_i - P(i on)) / A_i = P(i off, W busy): the lost share of
     # source i's offered load, read without the cancellation of the
     # difference when the loss is small.
-    per_call = [0.0] * m
-    per_traffic = [0.0] * m
-    for i in range(m):
-        off = 1.0 - on_prob[i]
-        per_call[i] = _snap01(float(blocked_off[i] / off)) if off > 0.0 else 0.0
-        per_traffic[i] = _snap01(float(blocked_off[i])) if a[i] > 0.0 else 0.0
-
-    attempt_rate = [lam[i] * (1.0 - on_prob[i]) for i in range(m)]
-    total_attempts = math.fsum(attempt_rate)
-    call_c = math.fsum(lam[i] * blocked_off[i] for i in range(m)) / total_attempts
-    traffic_c = math.fsum(a[i] * blocked_off[i] for i in range(m)) / offered
+    off = 1.0 - on_prob
+    per_call = [_snap01(b / o) if o > 0.0 else 0.0
+                for b, o in zip(blocked_off.tolist(), off.tolist())]
+    per_traffic = [_snap01(b) if x > 0.0 else 0.0 for b, x in zip(blocked_off.tolist(), a)]
+    call_c = math.fsum(lam * blocked_off) / math.fsum(lam * off)
+    traffic_c = math.fsum(np.array(a) * blocked_off) / offered
 
     metrics = BlockingMetrics(
         time_congestion=_snap01(time_c),

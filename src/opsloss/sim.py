@@ -25,10 +25,11 @@ carried time, the lengths of unblocked attempts. An attempt is blocked
 when N >= W, and that is the only place the modes differ: a blocked
 cleared attempt schedules a retry after a fresh idle period, a blocked
 held attempt transmits anyway and its packet is lost. The event heap holds
-one entry per source: (t, i) for its next attempt, (t, ~i) for the end of
-its transmission. Each event swaps its entry for the source's next, so
-keys are unique and pop in time order; an exact tie, which continuous
-draws are not expected to make, breaks on the integer, so ends pop first.
+one entry per source, (t, i) for its next attempt or (t, ~i) for the end
+of its transmission, plus (horizon, M), which closes the last span and
+ends the run. Each event swaps its entry for the source's next, so keys
+are unique and pop in time order; an exact tie, which continuous draws
+are not expected to make, breaks on the integer, so ends pop first.
 
 Time is in units of the mean packet length (departure intensity 1).
 Every attempt draws its packet length, so the per-source offered-time
@@ -212,24 +213,23 @@ def _substream_seed(base_seed: int, replication: int, source: int) -> int:
     return int.from_bytes(digest[:8], "big")
 
 
-def _source_rngs(spec: SimSpec, replication: int) -> list[random.Random]:
-    return [random.Random(_substream_seed(spec.base_seed, replication, i))
-            for i in range(len(spec.loads))]
-
-
-def _replicate(spec: SimSpec, replication: int):
-    """Counters of one replication; the modes part only at a blocked attempt."""
+def _replicate(spec: SimSpec, replication: int) -> ReplicationStats:
+    """One replication's counters and estimates; the modes part only at a
+    blocked attempt."""
     a = spec.loads.loads
     m, w = len(a), spec.w
     horizon, warmup = spec.horizon, spec.warmup
     held = spec.mode == "held"
     lam = arrival_intensities(a)
-    draw = [rng.random for rng in _source_rngs(spec, replication)]
+    draw = [random.Random(_substream_seed(spec.base_seed, replication, i)).random
+            for i in range(m)]
     # -log(1 - U) / rate is exactly what random.expovariate computes; inlined
     # to save a method call per draw, so the streams are unchanged.
     log = math.log
 
+    # (horizon, m) pops after every earlier event: it closes the last span.
     heap = [(-log(1.0 - draw[i]()) / lam[i], i) for i in range(m) if lam[i] > 0.0]
+    heap.append((horizon, m))
     heapify(heap)
 
     n = 0
@@ -242,10 +242,8 @@ def _replicate(spec: SimSpec, replication: int):
     offered = [0.0] * m
     carried = [0.0] * m
 
-    while heap:
+    while True:
         t, i = heap[0]
-        if t >= horizon:
-            break
         if n and t > warmup:
             span = t - (prev if prev > warmup else warmup)
             offered_int += n * span
@@ -254,6 +252,8 @@ def _replicate(spec: SimSpec, replication: int):
             else:
                 carried_int += w * span
                 all_busy_time += span
+        if t >= horizon:
+            break
         prev = t
         if i < 0:
             i = ~i
@@ -274,23 +274,8 @@ def _replicate(spec: SimSpec, replication: int):
                 continue
         # After an end or a blocked cleared attempt: the next attempt.
         heapreplace(heap, (t - log(1.0 - draw[i]()) / lam[i], i))
-    if n and horizon > max(prev, warmup):
-        span = horizon - max(prev, warmup)
-        offered_int += n * span
-        carried_int += min(n, w) * span
-        if n >= w:
-            all_busy_time += span
 
-    return attempts, blocked, offered, carried, all_busy_time, carried_int, offered_int
-
-
-def _run_replication(spec: SimSpec, replication: int) -> ReplicationStats:
-    (attempts, blocked, offered, carried, all_busy_time,
-     carried_int, offered_int) = _replicate(spec, replication)
-
-    a = spec.loads.loads
-    m = len(a)
-    window = spec.horizon - spec.warmup
+    window = horizon - warmup
     total_attempts = sum(attempts)
     if total_attempts == 0:
         raise EstimationError(
@@ -298,7 +283,7 @@ def _run_replication(spec: SimSpec, replication: int) -> ReplicationStats:
 
     time_c = all_busy_time / window
     call_c = sum(blocked) / total_attempts
-    if spec.mode == "held":
+    if held:
         traffic_c = 1.0 - carried_int / offered_int if offered_int > 0.0 else 0.0
         per_traffic = [1.0 - carried[i] / offered[i] if offered[i] > 0.0 else 0.0
                        for i in range(m)]
@@ -339,7 +324,7 @@ def simulate(spec: SimSpec) -> SimResult:
     Replications are independent given their index, so they could run
     concurrently; they are merged in index order either way.
     """
-    reps = tuple(_run_replication(spec, k) for k in range(spec.replications))
+    reps = tuple(_replicate(spec, k) for k in range(spec.replications))
     m = len(spec.loads)
     return SimResult(
         spec=spec,

@@ -173,11 +173,15 @@ class TestSimulateCommand:
         assert "--seed" in capsys.readouterr().err
 
     def test_non_finite_env_seed_exits_2(self, capsys, monkeypatch):
-        monkeypatch.setenv("ENGSET_SEED", "1e400")
-        code, _, err = run_cli(capsys, "simulate", "--loads", "0.4", "--w", "1",
-                               "--mode", "held", "--reps", "2", "--horizon", "1e3")
-        assert code == 2
-        assert "seed must be a finite integer" in err
+        for seed, message in (("1e400", "seed must be a finite integer"),
+                              ("abc", "seed must be an integer, got 'abc'"),
+                              ("1.5", "seed must be an integer, got '1.5'")):
+            monkeypatch.setenv("ENGSET_SEED", seed)
+            code, _, err = run_cli(capsys, "simulate", "--loads", "0.4", "--w", "1",
+                                   "--mode", "held", "--reps", "2", "--horizon", "1e3")
+            assert code == 2
+            assert message in err
+            assert "ENGSET_SEED" in err
 
     def test_seeds_past_float_precision_differ(self, capsys):
         # 2**53 + 1 has no float; read through float it would equal 2**53.
@@ -506,6 +510,25 @@ class TestUsageErrors:
                                "--model", "lcc")
         assert code == 2
         assert "outside" in err
+
+    @pytest.mark.parametrize("argv, flag, bad", [
+        (("simulate", "--loads", "0.4", "--w", "1", "--mode", "cleared", "--seed", "1.5"),
+         "--seed", "'1.5'"),
+        (("analyze", "--loads", "0.4,abc", "--w", "1", "--model", "lcc"), "--loads", "abc"),
+        (("sweep", "--m", "4", "--w", "1,x", "--load", "0.5"), "--w", "1,x"),
+        (("sweep", "--m", "4", "--w", "1", "--load", "0.5", "--tui", "0.5,y"), "--tui", "0.5,y"),
+    ])
+    def test_bad_value_names_flag_and_value_not_internals(self, capsys, argv, flag, bad):
+        with pytest.raises(SystemExit) as exc:
+            main(list(argv))
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert f"argument {flag}:" in err and bad in err
+        assert "_parse" not in err
+        # The usage line shows option names, not the spec fields they set.
+        for field in ("W_VALUES", "PER_WAVELENGTH_LOAD", "TUI_VALUES", "REPLICATIONS",
+                      "BASE_SEED"):
+            assert field not in err
 
 
 def test_readme_command_lines_parse():

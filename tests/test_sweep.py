@@ -283,3 +283,54 @@ def test_held_sim_result_is_pinned_to_full_precision():
     ]
     assert res.replications[0].per_source_carried == (
         708.4109747587397, 69.89868049921908, 162.78574776571497)
+
+
+# Held runs end with N = 2, 3 and 1 busy sources, cleared ones with N = W,
+# so the span closed by the horizon takes the N >= W branch. No warmup, and
+# the third source is silent.
+RUN_END_PINS = {
+    "cleared": dict(
+        time=Estimate(0.8200835929787785, 0.008562987642071564),
+        call=Estimate(0.7483194690514635, 0.015407509876706861),
+        traffic=Estimate(0.5442609414449282, 0.005133320090089753),
+        per_call=(Estimate(0.7188444390207326, 0.00649157930467057),
+                  Estimate(0.7644126532356624, 0.029198429852202744),
+                  Estimate(0.0, 0.0),
+                  Estimate(0.7787244253492686, 0.012696071126556978)),
+        per_traffic=(Estimate(0.4516765687303735, 0.05146549130832337),
+                     Estimate(0.5613003895192263, 0.04969433984884695),
+                     Estimate(0.0, 0.0),
+                     Estimate(0.6534317255561475, 0.03514071845850056)),
+        reps=[(3211, 2392, 3202.805128654273, 816.3694490444731),
+              (3206, 2387, 3272.0346698118133, 823.7491596508675),
+              (3423, 2586, 3371.463903899593, 820.8723075020464)]),
+    "held": dict(
+        time=Estimate(0.9396990198676267, 0.017716102461569527),
+        call=Estimate(0.8311103252171447, 0.019237690968879336),
+        traffic=Estimate(0.47600058180618804, 0.004224265843721828),
+        per_call=(Estimate(0.7950487278793652, 0.03131424175655582),
+                  Estimate(0.8412026115624153, 0.04018260035648263),
+                  Estimate(0.0, 0.0),
+                  Estimate(0.8694116190564897, 0.013056514856337437)),
+        per_traffic=(Estimate(0.7811730526789852, 0.07110274282242386),
+                     Estimate(0.8277849364521255, 0.052681073884194206),
+                     Estimate(0.0, 0.0),
+                     Estimate(0.8733660091151306, 0.06085503714516117)),
+        reps=[(1721, 1415, 1782.3116643645503, 337.9143270183873),
+              (1751, 1462, 1793.8112526302907, 323.47057769844474),
+              (1813, 1516, 1810.714392997604, 298.5920457963386)]),
+}
+
+
+@pytest.mark.parametrize("mode", sorted(RUN_END_PINS))
+def test_run_end_is_pinned_to_full_precision(mode):
+    pins = RUN_END_PINS[mode]
+    res = simulate(SimSpec(loads=(0.7, 0.6, 0.0, 0.5), w=1, mode=mode, horizon=1e3,
+                           warmup=0.0, replications=3, base_seed=13))
+    assert res.time_congestion == pins["time"]
+    assert res.call_congestion == pins["call"]
+    assert res.traffic_congestion == pins["traffic"]
+    assert res.per_source_call == pins["per_call"]
+    assert res.per_source_traffic == pins["per_traffic"]
+    assert [(r.attempts, r.blocked, r.offered_time, r.carried_time)
+            for r in res.replications] == pins["reps"]
