@@ -33,17 +33,6 @@ from .sweep import (ANALYTIC_MODELS, MODELS, SweepSpec, make_preset, metric_rows
 from .traffic import LoadVector, make_load_vector, tui as compute_tui
 
 
-def ctmc_oracle(loads: LoadVector, w: int):
-    """``opsloss.ctmc.ctmc_oracle``, imported inside the call."""
-    from .ctmc import ctmc_oracle
-    return ctmc_oracle(loads, w)
-
-
-# The sweep's analytic models plus the brute-force oracle, looked up here
-# when called.
-ANALYZE_MODELS = {**ANALYTIC_MODELS, "oracle": lambda loads, w: ctmc_oracle(loads, w)[1]}
-
-
 def _parse_float_list(text: str) -> tuple[float, ...]:
     try:
         return tuple(float(x) for x in text.split(","))
@@ -173,7 +162,7 @@ def _require(args: argparse.Namespace, *flags: str) -> None:
 def cmd_analyze(args: argparse.Namespace) -> int:
     _require(args, "loads", "w", "model")
     loads = LoadVector(args.loads)
-    metrics = ANALYZE_MODELS[args.model](loads, args.w)
+    metrics = ANALYTIC_MODELS[args.model](loads, args.w)
     sys.stdout.write(rows_to_csv(metric_rows("analyze", len(loads), args.w, loads.total / args.w,
                                              compute_tui(loads), args.model, metrics)))
     return 0
@@ -233,7 +222,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_an = sub.add_parser("analyze", help="evaluate an analytic model")
     p_an.add_argument("--loads", type=_parse_float_list)
     p_an.add_argument("--w", type=int, help="wavelength channels at the output link")
-    p_an.add_argument("--model", choices=ANALYZE_MODELS)
+    p_an.add_argument("--model", choices=ANALYTIC_MODELS)
     p_an.set_defaults(func=cmd_analyze)
 
     p_sim = sub.add_parser("simulate", help="run the event-driven simulator")

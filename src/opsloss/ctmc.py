@@ -211,8 +211,13 @@ def ctmc_oracle(loads: LoadVector | Sequence[float],
     # Global balance of source i, lam_i P(i off, not blocked) = P(i on),
     # gives (A_i - P(i on)) / A_i = P(i off, W busy): the lost share of
     # source i's offered load, read without the cancellation of the
-    # difference when the loss is small.
+    # difference when the loss is small. The same balance gives P(i off) =
+    # P(i on) / lam_i + P(i off, W busy), free of the cancellation in
+    # 1 - P(i on) for a source that is mostly on. A zero-load source is
+    # always off.
     off = 1.0 - on_prob
+    offers = lam > 0.0
+    off[offers] = on_prob[offers] / lam[offers] + blocked_off[offers]
     per_call = [_snap01(b / o) if o > 0.0 else 0.0
                 for b, o in zip(blocked_off.tolist(), off.tolist())]
     per_traffic = [_snap01(b) if x > 0.0 else 0.0 for b, x in zip(blocked_off.tolist(), a)]

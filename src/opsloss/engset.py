@@ -262,7 +262,7 @@ def _lcc_metrics(classes: _LoadClasses, w: int) -> BlockingMetrics:
             hi, eiw = gi, 0.0
         ratio = rc * hi / gi  # P(i on) / P(i off)
         per_call.append(_snap01(eiw / gi))
-        attempt_weights.append(rc * (1.0 - ratio / (1.0 + ratio)))
+        attempt_weights.append(rc / (1.0 + ratio))  # lam_i P(i off)
         per_traffic.append(eiw / (gi + rc * hi) if a > 0.0 else 0.0)
 
     call_c = (classes.total([wgt * b for wgt, b in zip(attempt_weights, per_call)])

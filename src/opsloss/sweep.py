@@ -12,10 +12,12 @@ CSV columns: name,M,W,A,tui,model,metric,value,ci_half_width,status,note
 with floats printed at 9 significant digits and empty strings for absent
 values.
 
-The module-level ``engset_lcc``, ``engset_ofl`` and ``engset_classical``
-import the real solver inside the call and forward it, and the model
-table looks them up here at call time: so numpy loads only at the first
-solve, and a wrapper installed on these names sees every call.
+``ANALYTIC_MODELS`` is the one model table: the CLI's ``analyze`` and
+the sweep take their models from it, the chain oracle among them. The
+module-level ``engset_lcc``, ``engset_ofl``, ``engset_classical`` and
+``ctmc_oracle`` import the real solver inside the call and forward it,
+and the table looks them up here at call time: so numpy loads only at
+the first solve, and a wrapper installed on these names sees every call.
 """
 
 from __future__ import annotations
@@ -33,6 +35,7 @@ from .sim import (MODES, Estimate, SimResult, SimSpec, check_run_lengths, check_
 from .traffic import LoadVector, make_load_vector, min_feasible_tui
 
 if TYPE_CHECKING:
+    from .ctmc import CtmcSolution
     from .engset import BlockingMetrics
 
 
@@ -51,13 +54,20 @@ def engset_classical(s: int, per_source_load: float, w: int) -> BlockingMetrics:
     return engset_classical(s, per_source_load, w)
 
 
+def ctmc_oracle(loads: LoadVector, w: int) -> tuple[CtmcSolution, BlockingMetrics]:
+    from .ctmc import ctmc_oracle
+    return ctmc_oracle(loads, w)
+
+
 # Analytic models by name, each fn(loads, w). The solvers are looked up in
 # this module when called, so a wrapper installed on these names (as
 # perfbench's traced runs do) sees every call the sweep and the CLI make.
+# An oracle chain over STATE_CAP raises StateSpaceError.
 ANALYTIC_MODELS: dict[str, Callable[[LoadVector, int], BlockingMetrics]] = {
     "lcc": lambda loads, w: engset_lcc(loads, w),
     "ofl": lambda loads, w: engset_ofl(loads, w),
     "classical": lambda loads, w: engset_classical(len(loads), loads.total / len(loads), w),
+    "oracle": lambda loads, w: ctmc_oracle(loads, w)[1],
 }
 MODELS = (*ANALYTIC_MODELS, *(f"sim-{mode}" for mode in MODES))
 METRICS = ("time", "call", "traffic")

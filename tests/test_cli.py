@@ -8,8 +8,8 @@ from pathlib import Path
 import pytest
 
 import opsloss
-from opsloss import (ANALYTIC_MODELS, SIM_SOURCE_CAP, SOURCE_CAP, SweepSpec, make_preset,
-                     preset_names)
+from opsloss import (ANALYTIC_MODELS, SIM_SOURCE_CAP, SOURCE_CAP, STATE_CAP, SweepSpec,
+                     make_preset, preset_names)
 from opsloss.cli import build_parser, main
 
 SRC = Path(opsloss.__file__).resolve().parent.parent
@@ -311,6 +311,18 @@ class TestSweepCommand:
         assert f"M={m} sources exceed the simulation cap SIM_SOURCE_CAP={SIM_SOURCE_CAP}" in err
         # Without a sim model the same M is a valid sweep.
         assert SweepSpec(name="big", m=m, w_values=(1,), per_wavelength_load=0.5).m == m
+
+    def test_oracle_sweep_past_the_cap_exits_2(self, capsys, tmp_path):
+        # fig6 reaches M=32, W=4, past the oracle's state cap, after W=1 and
+        # W=2 fit: the sweep stops with the cap message and writes nothing.
+        target = tmp_path / "fig6.csv"
+        for out_args in ((), ("--out", str(target))):
+            code, out, err = run_cli(capsys, "sweep", "--preset", "fig6", "--models", "oracle",
+                                     *out_args)
+            assert code == 2
+            assert out == ""
+            assert f"STATE_CAP={STATE_CAP}" in err
+        assert not target.exists()
 
     def test_spec_file_unknown_key_exits_2(self, capsys, tmp_path):
         spec = tmp_path / "bad.sweep"

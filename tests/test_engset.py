@@ -2,6 +2,7 @@
 
 import dataclasses
 import hashlib
+import itertools
 import math
 import random
 import tracemalloc
@@ -304,11 +305,13 @@ class TestLoadClasses:
     # suffix table: the checkpointed rows must reproduce every bit. The
     # cases cover a square class count (256), one that is no multiple of
     # its block (1000 = 32 * 31 + 8), fewer than four classes, W = M and
-    # W > M.
+    # W > M. The (3, 2) digest was re-recorded when the attempt weight
+    # lam_i P(i off) came to be formed without 1 - P(i on): against 60-digit
+    # mpmath its fields stay within 1.8e-16.
     @pytest.mark.parametrize("m, w, digest", [
         (256, 64, "19c143d8015bc5607fd4489b4f54c85daaff04fdcb422bbc69014965177644c9"),
         (1000, 200, "f1a7ae2906ccd7884da2c03ab91c317d4ef10178acf28f9b932ea5523cfe84a9"),
-        (3, 2, "d8f593e624625098721006e4b0f2e3568d792ee0bfe89d95748eb6f291da1583"),
+        (3, 2, "335e1f7439cf78a67624c3459196dd6dbf983165c7abbceb6b685b19260bee31"),
         (12, 12, "00204885106d7f0437c556a145772f3e92c0c3710ec8f2d089eaedede1be5f6f"),
         (9, 16, "140578ba7496ac6cea199b7528154cb2a3353e6c2ac650a641f5d546ed213ea8"),
     ])
@@ -481,3 +484,64 @@ def test_per_source_deep_tail_matches_mpmath(case):
         _, oracle = ctmc_oracle(loads, w)
         for got, ref in zip(oracle.per_source_traffic, lcc_loss):
             close(got, ref)
+
+
+def mp_subset_metrics(loads, w, overflow):
+    """Every BlockingMetrics field at 60 digits, by summing the product form
+    prod_{i in S} r_i over the sets S of active sources: those with |S| <= W
+    for lost calls cleared, every set for overflow."""
+    m = len(loads)
+    with mpmath.workdps(60):
+        a = [mpmath.mpf(x) for x in loads]
+        r = [x / (1 - x) for x in a]
+        sets = [(set(s), mpmath.fprod(r[i] for i in s))
+                for k in range(m + 1 if overflow else min(w, m) + 1)
+                for s in itertools.combinations(range(m), k)]
+        total = mpmath.fsum(p for _, p in sets)
+
+        def prob(keep):
+            return mpmath.fsum(p for s, p in sets if keep(s)) / total
+
+        time_c = prob(lambda s: len(s) >= w)
+        if overflow:
+            # An arrival of source i is lost when W others are on.
+            blocked = [prob(lambda s: len(s - {i}) >= w) for i in range(m)]
+            excess = mpmath.fsum((len(s) - w) * p for s, p in sets if len(s) > w) / total
+            return (time_c, mpmath.fsum(x * b for x, b in zip(a, blocked)) / mpmath.fsum(a),
+                    excess / mpmath.fsum(a), blocked, blocked)
+        # Lost calls cleared: P(i off, W busy) over P(i off), and the lost
+        # share of source i's load, which is P(i off, W busy).
+        off = [prob(lambda s: i not in s) for i in range(m)]
+        lost = [prob(lambda s: i not in s and len(s) == w) for i in range(m)]
+        call_c = (mpmath.fsum(x * b for x, b in zip(r, lost))
+                  / mpmath.fsum(x * o for x, o in zip(r, off)))
+        traffic_c = mpmath.fsum(x * b for x, b in zip(a, lost)) / mpmath.fsum(a)
+        return time_c, call_c, traffic_c, [b / o for b, o in zip(lost, off)], lost
+
+
+# Sources within 1e-9 of always on, and near 1e-8.
+CORNER_LOADS = [
+    (0.999999999, 0.5, 0.3),
+    (0.99999999999, 0.1),
+    (0.3,) * 6 + (0.999999999,),
+    (0.999999999, 0.9999999995, 1e-8, 3e-8),
+    (1e-8, 2e-8, 5e-9, 1e-8),
+    (0.999999999,) * 3,
+]
+
+
+@pytest.mark.parametrize("loads, w", [pytest.param(loads, w, id=f"case{case}-W{w}")
+                                      for case, loads in enumerate(CORNER_LOADS)
+                                      for w in range(1, len(loads) + 1)])
+def test_every_field_matches_mpmath_at_the_load_corners(loads, w):
+    # A source that is nearly always on makes P(i on) / P(i off) huge, so a
+    # call congestion formed from 1 - P(i on) would lose digits.
+    lcc_ref = mp_subset_metrics(loads, w, overflow=False)
+    solvers = [(engset_lcc(loads, w), lcc_ref), (ctmc_oracle(loads, w)[1], lcc_ref),
+               (engset_ofl(loads, w), mp_subset_metrics(loads, w, overflow=True))]
+    if len(set(loads)) == 1:
+        solvers.append((engset_classical(len(loads), loads[0], w), lcc_ref))
+    for got, ref in solvers:
+        for field, values, refs in zip(dataclasses.fields(got), dataclasses.astuple(got), ref):
+            assert values == pytest.approx([float(x) for x in refs] if isinstance(refs, list)
+                                           else float(refs), rel=1e-14, abs=0.0), field.name

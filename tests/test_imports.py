@@ -7,7 +7,8 @@ their first solve. Analytic work never loads scipy, and a simulation
 loads it only for a confidence interval over more than 101 replications,
 beyond the table of Student-t quantiles in ``opsloss.sim``. hashlib,
 which maps OpenSSL's libcrypto, loads only where a simulation seeds its
-streams.
+streams. The chain oracle's module, ``opsloss.ctmc``, loads only where
+the oracle runs.
 """
 
 import json
@@ -82,6 +83,17 @@ def test_large_interval_loads_scipy():
 ])
 def test_no_numpy_loaded(code):
     assert modules_after(code, "numpy") == []
+
+
+@pytest.mark.parametrize("code", [
+    ANALYZE_LCC,
+    "from opsloss.cli import main\n"
+    "assert main(['sweep', '--preset', 'fig3', '--models', 'lcc']) == 0",
+])
+def test_oracle_module_loads_only_for_the_oracle(code):
+    # The oracle shares the model table with the product-form solvers; its
+    # entry imports opsloss.ctmc inside the call.
+    assert "opsloss.ctmc" not in modules_after(code, "opsloss")
 
 
 def test_analytic_model_loads_numpy():

@@ -1,11 +1,11 @@
 """The package surface and the late-bound solver names.
 
-``opsloss`` exports its names lazily. ``opsloss.sweep`` and
-``opsloss.cli`` reach the analytic solvers and the oracle through
-module-level functions that import the real one inside the call, and
-their model tables look those names up at call time. A wrapper
-installed on one of those names, as perfbench's traced runs install
-one, must see every call.
+``opsloss`` exports its names lazily. ``opsloss.sweep`` reaches the
+analytic solvers and the oracle through module-level functions that
+import the real one inside the call, and its model table, which the CLI
+uses too, looks those names up at call time. A wrapper installed on one
+of those names, as perfbench's traced runs install one, must see every
+call.
 """
 
 import importlib
@@ -18,7 +18,6 @@ from pathlib import Path
 import pytest
 
 import opsloss
-import opsloss.cli
 import opsloss.sweep
 from opsloss import SweepSpec, run_sweep
 from opsloss.cli import main
@@ -71,10 +70,11 @@ class TestLateBoundSolvers:
         assert opsloss.sweep.engset_lcc is wrapper
 
     def test_wrapped_cli_oracle_sees_every_call(self, monkeypatch, capsys):
-        wrapper = counting(opsloss.cli.ctmc_oracle)
-        monkeypatch.setattr(opsloss.cli, "ctmc_oracle", wrapper)
-        argv = ["analyze", "--loads", "0.4,0.3,0.2", "--w", "1", "--model", "oracle"]
-        assert main(argv) == 0
-        assert main(argv) == 0
-        assert wrapper.calls == 2
-        assert capsys.readouterr().out.count("oracle,") == 6
+        # analyze and sweep reach the oracle through the one model table.
+        wrapper = counting(opsloss.sweep.ctmc_oracle)
+        monkeypatch.setattr(opsloss.sweep, "ctmc_oracle", wrapper)
+        assert main(["analyze", "--loads", "0.4,0.3,0.2", "--w", "1", "--model", "oracle"]) == 0
+        assert main(["sweep", "--m", "3", "--w", "1", "--load", "0.5", "--tui", "0.6,1.0",
+                     "--models", "oracle"]) == 0
+        assert wrapper.calls == 3
+        assert capsys.readouterr().out.count("oracle,") == 9

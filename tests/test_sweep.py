@@ -6,9 +6,10 @@ import math
 
 import pytest
 
-from opsloss import (Estimate, SimSpec, SweepRow, SweepSpec, default_tui_grid,
-                     make_load_vector, make_preset, preset_names, rows_to_csv, run_sweep,
-                     simulate, CSV_HEADER)
+import opsloss.sweep
+from opsloss import (STATE_CAP, Estimate, SimSpec, SweepRow, SweepSpec, ctmc_oracle,
+                     default_tui_grid, engset_lcc, make_load_vector, make_preset, preset_names,
+                     rows_to_csv, run_sweep, simulate, CSV_HEADER)
 from opsloss.cli import main
 
 FAST_SIM = dict(horizon=2e3, warmup=2e2, replications=3, base_seed=1)
@@ -205,6 +206,31 @@ def test_analytic_csv_bytes_are_pinned(name):
     spec = make_preset(name, models=("lcc", "ofl", "classical"))
     text = rows_to_csv(run_sweep(spec))
     assert hashlib.sha256(text.encode()).hexdigest() == GOLDEN_ANALYTIC_CSV[name]
+
+
+def test_oracle_matches_lcc_at_every_preset_point(monkeypatch):
+    # Each preset as an oracle sweep over its W values whose chain fits
+    # STATE_CAP: the chain, solved without the product form, must agree with
+    # it at every grid point of the paper's experiments.
+    solved = []
+
+    def recorded(loads, w):
+        solution, metrics = ctmc_oracle(loads, w)
+        solved.append((loads, w, metrics))
+        return solution, metrics
+
+    monkeypatch.setattr(opsloss.sweep, "ctmc_oracle", recorded)
+    for name in preset_names():
+        spec = make_preset(name)
+        fits = tuple(w for w in spec.w_values if sum(
+            math.comb(spec.m, k) for k in range(min(w, spec.m) + 1)) <= STATE_CAP)
+        run_sweep(dataclasses.replace(spec, w_values=fits, models=("oracle",)))
+    assert len(solved) == 61
+    for loads, w, oracle in solved:
+        lcc = engset_lcc(loads, w)
+        for field in dataclasses.fields(lcc):
+            assert getattr(oracle, field.name) == pytest.approx(
+                getattr(lcc, field.name), rel=1e-12, abs=0.0), (loads, w, field.name)
 
 
 # SHA-256 of simulator CSV on stdout, recorded before the two simulator
