@@ -30,11 +30,14 @@ into the solve as one fancy-indexed add.
 Only the R_k blocks below the top level are kept (R_K = U_{K-1} / K
 is applied through the moves themselves): sum over k < K of n_{k-1} n_k
 doubles, plus one (n_{k-1} + n_{k-2}) x n_{k-1} buffer per level, solved
-in place and then shrunk in place to R_{k-1}. The work is
+in place and then shrunk in place to R_{k-1}, and one scratch buffer per
+level for every matmul product of its solve (products freed at each split
+stayed in glibc's heap: a cold M=12, W=6 `analyze` read 41.8 MB max RSS,
+and 40.4 MB with the buffer). The work is
 O(sum n_k^3 + n_k^2 n_{k-1}) for the solve and O(M n_W) for the
 per-source loss sums. On one core of a 2-vCPU x86_64 VM, M=12, W=6 (2,510
-states) peaks at 10.3 MB (`tracemalloc`) and takes 0.15-0.19 s, and
-M=13, W=6 (4,096 states) at 24.9 MB and 0.38-0.47 s.
+states) peaks at 10.3 MB (`tracemalloc`) and takes 0.13-0.16 s, and
+M=13, W=6 (4,096 states) at 24.9 MB and 0.32-0.36 s.
 STATE_CAP = 5,000 bounds the chain; larger ones end in StateSpaceError.
 """
 
@@ -107,7 +110,21 @@ def _up(below: np.ndarray, lower: np.ndarray, rates: np.ndarray) -> np.ndarray:
     return np.bincount(np.repeat(np.arange(n), k), (below[lower] * rates).ravel(), n)
 
 
-def _solve_right(a: np.ndarray, n: int, slack: np.ndarray) -> None:
+def _scratch_size(n: int, r: int) -> int:
+    """Doubles in the largest product of ``_solve_right`` on n unknowns, r right-hand rows."""
+    if n == 1:
+        return 0
+    h = n // 2
+    return max((n - h) * max(n - h, r), _scratch_size(h, n - h + r), _scratch_size(n - h, r))
+
+
+def _product(x: np.ndarray, y: np.ndarray, scratch: np.ndarray) -> np.ndarray:
+    """x @ y, written C-contiguous into the front of the 1-D ``scratch``."""
+    return np.matmul(x, y, out=scratch[:len(x) * y.shape[1]].reshape(len(x), y.shape[1]))
+
+
+def _solve_right(a: np.ndarray, n: int, slack: np.ndarray,
+                 scratch: np.ndarray | None = None) -> None:
     """Overwrite a[n:] with X, X N = a[n:], for N the n x n M-matrix with
     off-diagonal -a[:n] (a[:n] >= 0, its diagonal ignored, used up as
     scratch) and row sums slack > 0.
@@ -115,18 +132,22 @@ def _solve_right(a: np.ndarray, n: int, slack: np.ndarray) -> None:
     Block elimination in place that never forms N's diagonal: eliminating
     the first block leaves a Schur complement whose off-diagonal part and
     row sums are sums of nonnegative products, so nothing cancels. Beyond
-    a (the oracle's one buffer per level) it holds one matmul product at a time.
+    a (the oracle's one buffer per level) it holds one 1-D buffer of
+    ``_scratch_size`` doubles, made by the outermost call, that takes every
+    matmul product in its own shape and layout (so with its bits).
     """
     if n == 1:
         a[1:] /= slack[0]
         return
+    if scratch is None:
+        scratch = np.empty(_scratch_size(n, len(a) - n))
     h = n // 2
     # Y = [O21; rhs1] N11^{-1} into a[h:, :h]; N11's row sums are slack1 + O12's.
-    _solve_right(a[:, :h], h, slack[:h] + a[:h, h:].sum(axis=1))
-    a[h:n, h:] += a[h:n, :h] @ a[:h, h:]  # the Schur complement
-    a[n:, h:] += a[n:, :h] @ a[:h, h:]  # and its right-hand side
-    _solve_right(a[h:, h:], n - h, slack[h:] + a[h:n, :h] @ slack[:h])
-    a[n:, :h] += a[n:, h:] @ a[h:n, :h]
+    _solve_right(a[:, :h], h, slack[:h] + a[:h, h:].sum(axis=1), scratch)
+    a[h:n, h:] += _product(a[h:n, :h], a[:h, h:], scratch)  # the Schur complement
+    a[n:, h:] += _product(a[n:, :h], a[:h, h:], scratch)  # and its right-hand side
+    _solve_right(a[h:, h:], n - h, slack[h:] + a[h:n, :h] @ slack[:h], scratch)
+    a[n:, :h] += _product(a[n:, h:], a[h:n, :h], scratch)
 
 
 def ctmc_oracle(loads: LoadVector | Sequence[float],

@@ -1,18 +1,27 @@
 """Brute-force chain oracle: hand-solved cases and product-form agreement."""
 
 import dataclasses
-import hashlib
 import itertools
+import json
 import math
+import os
 import random
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import mpmath
 import numpy as np
 import pytest
 
+import opsloss
 from opsloss import STATE_CAP, StateSpaceError, ZeroTrafficError, ctmc_oracle, engset_lcc
 from opsloss.ctmc import _solve_right
+
+SRC = str(Path(opsloss.__file__).resolve().parent.parent)
+TWELVE = [0.05 + 0.025 * i for i in range(12)]
+THIRTEEN = [0.05 + 0.025 * i for i in range(13)]
 
 
 def test_symmetric_stationary_distribution():
@@ -63,12 +72,16 @@ def test_subset_code_fits_int64_at_every_admitted_size():
     assert worst == 12 ** 11 < 2 ** 40
 
 
+def code_limit_loads(m, w):
+    rng = random.Random(m)
+    return [rng.uniform(0.001, min(0.9, 2.0 * w / m)) for _ in range(m)]
+
+
 @pytest.mark.parametrize("m, w, states", [(12, 12, 4096), (99, 2, 4951), (4999, 1, 5000)])
 def test_matches_product_form_at_the_code_limits(m, w, states):
     # The deepest code (M=W=12), the widest base (M=99) and the most sources
     # the cap admits, on seeded distinct loads.
-    rng = random.Random(m)
-    loads = [rng.uniform(0.001, min(0.9, 2.0 * w / m)) for _ in range(m)]
+    loads = code_limit_loads(m, w)
     assert len(set(loads)) == m
     sol, slow = ctmc_oracle(loads, w)
     assert len(sol.states) == states
@@ -79,14 +92,45 @@ def test_matches_product_form_at_the_code_limits(m, w, states):
                                                           rel=1e-12, abs=0.0), field.name
 
 
-def test_twelve_sources_pinned_at_full_precision():
+PINNED_CHAINS = {"12/6": (TWELVE, 6), "13/6": (THIRTEEN, 6)}
+PINNED_CHAINS.update({f"{m}/{w}": (code_limit_loads(m, w), w)
+                      for m, w in [(12, 12), (99, 2), (4999, 1)]})
+PIN_CHILD = """
+import dataclasses, hashlib, json, sys
+from opsloss import ctmc_oracle
+def sha(text):
+    return hashlib.sha256(text.encode()).hexdigest()
+out = {}
+for name, (loads, w) in json.loads(sys.stdin.read()).items():
+    sol, metrics = ctmc_oracle(loads, w)
+    text = repr(dataclasses.astuple(metrics))
+    out[name] = [text, sha(text), sha(repr(sol.stationary))]
+print(json.dumps(out))
+"""
+
+
+@pytest.fixture(scope="module")
+def one_thread_pins():
+    """For each of PINNED_CHAINS: repr of the metrics, and the SHA-256 of repr
+    of the metrics and of the stationary law, from a fresh interpreter with
+    one BLAS thread. OpenBLAS splits a dgemm by thread count and its bits
+    follow the split, so a pin holds only at a fixed count."""
+    env = dict(os.environ, PYTHONPATH=SRC, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1",
+               MKL_NUM_THREADS="1")
+    proc = subprocess.run([sys.executable, "-c", PIN_CHILD], input=json.dumps(PINNED_CHAINS),
+                          capture_output=True, text=True, env=env, check=True)
+    return json.loads(proc.stdout)
+
+
+def test_twelve_sources_pinned_at_full_precision(one_thread_pins):
     # M=12, W=6 on 12 distinct loads (2,510 states). The stationary law was
-    # recorded before the level buffer was shrunk in place: the solve must
-    # reproduce every bit. The metrics were recorded when P(i off) came to be
-    # formed without 1 - P(i on); against 60-digit mpmath their largest
-    # relative error is 4.0e-16.
-    sol, metrics = ctmc_oracle([0.05 + 0.025 * i for i in range(12)], 6)
-    assert repr(dataclasses.astuple(metrics)) == repr((
+    # recorded with one BLAS thread before the level solve wrote its
+    # products into one scratch buffer: the solve must reproduce every bit.
+    # The metrics were recorded when P(i off) came to be formed without
+    # 1 - P(i on); against 60-digit mpmath their largest relative error is
+    # 4.0e-16.
+    metrics, _, stationary = one_thread_pins["12/6"]
+    assert metrics == repr((
         0.009874661909380711, 0.005313129197249373, 0.004194022919470674,
         (0.008460240311300639, 0.007838653901526608, 0.007272522425019267,
          0.00675962390886192, 0.006296985973801673, 0.005880998351304032,
@@ -96,8 +140,29 @@ def test_twelve_sources_pinned_at_full_precision():
          0.0059196727654489256, 0.005357498491659918, 0.004856822158369367,
          0.0044109309396376285, 0.004013328883309106, 0.003657959606673169,
          0.0033393662178290828, 0.0030527506458543287, 0.002793958381351543)))
-    assert (hashlib.sha256(repr(sol.stationary).encode()).hexdigest()
-            == "a7887cf3f892a87902679e6ed9aa690d0acc18afcf08de8fcefbdec5a59d6781")
+    assert stationary == "e86f3b297a2e31bb6a856313eca0f22042687b036d842bc3db44aaf3be2c0bec"
+
+
+# SHA-256 of repr of the metrics and of the stationary law.
+CODE_LIMIT_PINS = {
+    "13/6": ["74328200784ee5fb6f90cbf5e7041aad4e806966a266bdac6b3398e45e6a2a03",
+             "736cfdd8166989cd875dad8f9084a8310028e73ee0b5bdf9afc2d4c3b7cdc525"],
+    "12/12": ["10e7ef4ba39cb42112b1d0802e10c721ca368fea53ac8d86ec2a98952794032f",
+              "b13032a7dc4f04d05d100826bc0864d6a59b89931023bddf2cbedf475fbbbefe"],
+    "99/2": ["ad0c30b82b9f3a104639ddd3f464c2b32fa8b993ffe6a31f5077c7021221ab42",
+             "c647699daf2a7b114f833f7c9ab64f9120ac74b51757f465b7933893f36ce573"],
+    "4999/1": ["8e009f072306f393c5d4321586bca348a26e1d5c3fbd5d6953955c6d54d1eebd",
+               "cc153886a14d285e0edba19643c6dd1d13c973e3ed9e154120ec88e910f01435"],
+}
+
+
+@pytest.mark.parametrize("chain", CODE_LIMIT_PINS)
+def test_code_limits_pinned_on_one_blas_thread(one_thread_pins, chain):
+    # The largest capped solve (M=13, W=6) and the chains of
+    # test_matches_product_form_at_the_code_limits, recorded with one BLAS
+    # thread before the level solve wrote its products into one scratch
+    # buffer.
+    assert one_thread_pins[chain][1:] == CODE_LIMIT_PINS[chain]
 
 
 def test_zero_traffic_error():
@@ -195,10 +260,14 @@ def test_deep_tail_heterogeneous_loss_matches_mpmath_lu():
     assert sol.stationary == pytest.approx([float(p) for p in pi], rel=1e-12, abs=0.0)
 
 
-@pytest.mark.parametrize("n", [1, 2, 7, 13])
-def test_solve_right_matches_dense_solve(n):
+# Odd n, a single right-hand side and r > 2n size the scratch buffer by
+# different products, and at (14, 7) the largest, 14 x 4, is in a child,
+# above the top's 7 x 7; an undersized buffer fails in a reshape.
+@pytest.mark.parametrize("n, r", [(1, 4), (2, 5), (7, 10), (13, 16), (13, 1), (12, 40), (33, 2),
+                                  (14, 7)],
+                         ids=["1", "2", "7", "13", "13-1", "12-40", "33-2", "14-7"])
+def test_solve_right_matches_dense_solve(n, r):
     rng = np.random.default_rng(n)
-    r = n + 3
     off = rng.uniform(0.0, 2.0, (n, n))
     slack = rng.uniform(0.1, 1.0, n)
     mat = -off.copy()
@@ -223,11 +292,12 @@ def oracle_peak(loads, w):
 
 def test_level_solve_memory_on_twelve_sources():
     # M=12, W=6: 2,510 states. The level solve keeps the R_k blocks below
-    # the top level, solves each level in place in one stacked buffer and
-    # shrinks that buffer to R_{k-1}, about 10.3 MB; copying R_{k-1} out
-    # of the buffer took 11.7 MB, copying the blocks at each elimination
-    # step 19 MB, and a dense generator with its LU copy 51 MB.
-    sol, peak = oracle_peak([0.05 + 0.025 * i for i in range(12)], 6)
+    # the top level, solves each level in place in one stacked buffer, with
+    # its matmul products in one scratch buffer, and shrinks the stacked
+    # buffer to R_{k-1}, about 10.3 MB; copying R_{k-1} out of the buffer
+    # took 11.7 MB, copying the blocks at each elimination step 19 MB, and
+    # a dense generator with its LU copy 51 MB.
+    sol, peak = oracle_peak(TWELVE, 6)
     assert len(sol.states) == 2510
     assert sol.balance_residual < 1e-9
     assert peak < 11e6
@@ -238,7 +308,7 @@ def test_level_solve_memory_on_largest_capped_chain():
     # rows of 1,287) of any chain under STATE_CAP. About 24.9 MB; copying
     # R_{k-1} out of the buffer took 28.4 MB, and copying the blocks at
     # each elimination step 48 MB.
-    sol, peak = oracle_peak([0.05 + 0.025 * i for i in range(13)], 6)
+    sol, peak = oracle_peak(THIRTEEN, 6)
     assert len(sol.states) == 4096
     assert sol.balance_residual < 1e-9
     assert peak < 27e6
