@@ -14,7 +14,9 @@ tree is left alone. Pair i runs every workload once on each side with seed
 ``seeds[i % len(seeds)]``, the parent first in even pairs and the change
 first in odd ones. Each run lasts the ``run_seconds`` of BENCHMARK.json.
 
-Writes ``BENCH_<label>.json`` at the root of this checkout: every run's
+Writes ``BENCH_<label>.json`` at the root of this checkout: the parent
+commit, the change's commit (HEAD, or null when ``src`` has uncommitted
+edits), a SHA-256 of each side's ``src`` tree as it ran, every run's
 result object (the last line perfbench prints) and its ungated ``wall_s``
 and, where the workload reports it (``sim-crossval``), ``attempts_per_s``;
 then per workload, metric and side the median and quartiles of the
@@ -24,6 +26,7 @@ is refused before anything runs, so no record is overwritten.
 """
 
 import argparse
+import hashlib
 import io
 import json
 import shutil
@@ -46,9 +49,20 @@ def git(*args: str) -> bytes:
     return subprocess.run(["git", *args], cwd=ROOT, check=True, capture_output=True).stdout
 
 
-def build_side(dest: Path, ref: str | None) -> None:
+def tree_sha256(root: Path) -> str:
+    """SHA-256 over every file under ``root``: its relative path and bytes,
+    each length-prefixed, in path order."""
+    digest = hashlib.sha256()
+    for path in sorted(p for p in root.rglob("*") if p.is_file()):
+        for part in (path.relative_to(root).as_posix().encode(), path.read_bytes()):
+            digest.update(len(part).to_bytes(8, "big") + part)
+    return digest.hexdigest()
+
+
+def build_side(dest: Path, ref: str | None) -> str:
     """A tree with ``src`` from commit ``ref`` (from the work tree when None),
-    this checkout's benchmark, and bytecode compiled for every module of src."""
+    this checkout's benchmark, and bytecode compiled for every module of src.
+    Returns the ``tree_sha256`` of its ``src`` before compiling."""
     skip = shutil.ignore_patterns("__pycache__", ".perfbench_out")
     if ref is None:
         shutil.copytree(ROOT / "src", dest / "src", ignore=skip)
@@ -57,7 +71,9 @@ def build_side(dest: Path, ref: str | None) -> None:
             tar.extractall(dest, filter="data")
     shutil.copytree(ROOT / "perfbench", dest / "perfbench", ignore=skip)
     shutil.copy2(ROOT / "BENCHMARK.json", dest / "BENCHMARK.json")
+    src_sha256 = tree_sha256(dest / "src")
     subprocess.run([sys.executable, "-m", "compileall", "-q", str(dest / "src")], check=True)
+    return src_sha256
 
 
 def run(root: Path, workload: str, seed: int, seconds: float) -> tuple[dict, dict]:
@@ -121,13 +137,14 @@ def main(argv=None) -> int:
     spec = json.loads((ROOT / "BENCHMARK.json").read_text())
     seconds = spec["run_seconds"]
     parent_commit = git("rev-parse", args.parent).decode().strip()
+    change_dirty = bool(git("status", "--porcelain", "--", "src"))
 
     runs = []
     with tempfile.TemporaryDirectory(prefix="bench_record_") as tmp:
         # Sibling directories whose names have one length, so both paths are as long.
         roots = {"parent": Path(tmp) / "parent", "change": Path(tmp) / "change"}
-        build_side(roots["parent"], parent_commit)
-        build_side(roots["change"], None)
+        src_sha256 = {"parent": build_side(roots["parent"], parent_commit),
+                      "change": build_side(roots["change"], None)}
         for pair in range(args.pairs):
             seed = seeds[pair % len(seeds)]
             order = ("parent", "change") if pair % 2 == 0 else ("change", "parent")
@@ -143,8 +160,10 @@ def main(argv=None) -> int:
 
     record = {
         "parent": parent_commit,
-        "change": git("rev-parse", "HEAD").decode().strip(),
-        "change_dirty": bool(git("status", "--porcelain", "--", "src")),
+        "change": None if change_dirty else git("rev-parse", "HEAD").decode().strip(),
+        "change_dirty": change_dirty,
+        "parent_src_sha256": src_sha256["parent"],
+        "change_src_sha256": src_sha256["change"],
         "python": sys.version.split()[0],
         "run_seconds": seconds,
         "seeds": seeds,

@@ -37,14 +37,16 @@ once per class, not once per source, on one core:
   OFL also keeps a class's n_c + 1 tail sums when n_c > 1); the
   paper's one-hot loads have two classes, all-distinct loads M classes of
   one source each.
+- Every row holds degrees 0..W: for W > M both models return all-zero
+  metrics before any factor is built. The walk returns the pairs and the
+  time congestion, the full product's top coefficient over its sum.
 - The models differ in what happens above degree W. LCC drops those
   degrees (the truncated product form). OFL folds them into degree W, so
   coefficient W holds the overflow states N >= W; folding commutes with
   the products, and a class's blocking P(N without i >= W) is the top
   coefficient of its leave-one-out product over that product's sum.
-- OFL's aggregates come from the same walk. Time congestion is the top
-  coefficient of the folded full product over its sum. With the sources
-  in class order, (N-W)+ counts the active sources that find at least W
+- OFL's traffic congestion comes from the same walk. With the sources in
+  class order, (N-W)+ counts the active sources that find at least W
   active sources before them, so class c adds
   sum_{j>=1} P(X_c >= j) P(N_<c >= W-j+1), X_c ~ Bin(n_c, A_c), where
   N_<c has the law of the class's prefix row; the terms with j > W sum
@@ -54,7 +56,9 @@ once per class, not once per source, on one core:
 Every step adds or multiplies nonnegative numbers.
 Every table row is rescaled by its peak when it grows past 1e150; all
 reported quantities are ratios of like-scaled sums, so the scale factor
-cancels and never needs to be tracked.
+cancels and never needs to be tracked. With loads within about 1e-10 of 1,
+every LCC state of at most W active sources can underflow to zero (each
+class factor is scaled to its own peak); that raises ValueError.
 
 Both models report time congestion (all channels busy), call congestion
 (blocked fraction of attempts) and traffic congestion (lost fraction of
@@ -129,8 +133,15 @@ def _snap01(x: float) -> float:
     return x
 
 
-def _at(arr: np.ndarray, k: int) -> float:
-    return float(arr[k]) if 0 <= k < len(arr) else 0.0
+def _unblocked(m: int) -> BlockingMetrics:
+    """The metrics of M < W sources: every one always finds a free channel."""
+    return BlockingMetrics(0.0, 0.0, 0.0, (0.0,) * m, (0.0,) * m)
+
+
+def _nonzero(total: float) -> float:
+    if total == 0.0:  # odds ~1e10 apart: each state of <= W active sources underflowed
+        raise ValueError("loads too close to 1: each state of at most W active sources underflows")
+    return total
 
 
 def _rescaled(row: np.ndarray) -> np.ndarray:
@@ -199,21 +210,20 @@ def _suffix_rows(factors: Sequence[np.ndarray], stop: int, row: np.ndarray, fold
 
 
 def _leave_one_out(factors: Sequence[np.ndarray], counts: Sequence[int], r: Sequence[float],
-                   kmax: int, fold: bool
-                   ) -> tuple[np.ndarray, Iterator[tuple[np.ndarray, np.ndarray]]]:
-    """The product of the class factors, each (1 + r_c x)^{n_c} cut at degree
-    kmax, and each class's leave-one-out pair.
+                   w: int, fold: bool) -> tuple[float, Iterator[tuple[np.ndarray, np.ndarray]]]:
+    """Time congestion full[W] / sum(full), ``full`` the product of the class
+    factors (1 + r_c x)^{n_c}, and each class's leave-one-out pair.
 
+    Every row holds degrees 0..W, W <= M: each product is cut at degree W.
     Class c's pair (prefix, rest) multiplies to the generating polynomial of
     the other sources when one source of class c is left out: prefix is the
     product of the factors before c, rest the product of those after c
-    times (1 + r_c x)^{n_c - 1}. Every product is cut at degree kmax.
-    Checkpoint rows 0, s, 2s, ... and C are kept, s = isqrt(classes); each
-    block of s classes rebuilds its own suffix rows from the checkpoint on
-    its right. The pairs are made lazily, one class at a time.
+    times (1 + r_c x)^{n_c - 1}. Checkpoints 0, s, 2s, ... and C are kept,
+    s = isqrt(classes); each block of s classes rebuilds its own suffix rows
+    from the checkpoint on its right. The pairs are made lazily.
     """
     step = max(1, math.isqrt(len(r)))
-    one = np.zeros(kmax + 1)
+    one = np.zeros(w + 1)
     one[0] = 1.0
     checkpoints = _suffix_rows(factors, len(r), one, fold, every=step)
 
@@ -223,11 +233,11 @@ def _leave_one_out(factors: Sequence[np.ndarray], counts: Sequence[int], r: Sequ
             if c % step == 0:
                 end = min(c + step, len(r))
                 suffix = _suffix_rows(factors, end, checkpoints[end], fold, start=c + 1)
-            yield prefix, _times(suffix[c + 1], _binomial_factor(n - 1, rc, kmax, fold), fold)
+            yield prefix, _times(suffix[c + 1], _binomial_factor(n - 1, rc, w, fold), fold)
             if c + 1 < len(r):
                 prefix = _times(prefix, factors[c], fold)
 
-    return checkpoints[0], pairs()
+    return float(checkpoints[0][w]) / _nonzero(float(checkpoints[0].sum())), pairs()
 
 
 def _validated(loads: LoadVector | Sequence[float], w: int) -> tuple[tuple[float, ...], float]:
@@ -242,11 +252,11 @@ def _validated(loads: LoadVector | Sequence[float], w: int) -> tuple[tuple[float
 
 def _lcc_metrics(classes: _LoadClasses, w: int) -> BlockingMetrics:
     """Lost-calls-cleared metrics, one leave-one-out per load class."""
-    kmax = min(w, len(classes.members))
+    if w > len(classes.members):
+        return _unblocked(len(classes.members))
     r = arrival_intensities(classes.loads)
-    factors = [_binomial_factor(n, rc, kmax, fold=False) for n, rc in zip(classes.counts, r)]
-    full, pairs = _leave_one_out(factors, classes.counts, r, kmax, fold=False)
-    time_c = _at(full, w) / float(full.sum())
+    factors = [_binomial_factor(n, rc, w, fold=False) for n, rc in zip(classes.counts, r)]
+    time_c, pairs = _leave_one_out(factors, classes.counts, r, w, fold=False)
 
     per_call, per_traffic, attempt_weights = [], [], []
     for (prefix, rest), a, rc in zip(pairs, classes.loads, r):
@@ -254,12 +264,9 @@ def _lcc_metrics(classes: _LoadClasses, w: int) -> BlockingMetrics:
         # each a dot product of prefix with rest or its running sums. The
         # common unknown scale cancels below.
         partial = np.cumsum(rest)
-        gi = float(prefix @ partial[::-1])              # degrees 0..kmax
-        if w <= kmax:
-            hi = float(prefix[:w] @ partial[w - 1::-1])  # degrees 0..W-1
-            eiw = float(prefix @ rest[::-1])            # degree W = kmax
-        else:
-            hi, eiw = gi, 0.0
+        gi = _nonzero(float(prefix @ partial[::-1]))  # degrees 0..W
+        hi = float(prefix[:w] @ partial[w - 1::-1])    # degrees 0..W-1
+        eiw = float(prefix @ rest[::-1])               # degree W
         ratio = rc * hi / gi  # P(i on) / P(i off)
         per_call.append(_snap01(eiw / gi))
         attempt_weights.append(rc / (1.0 + ratio))  # lam_i P(i off)
@@ -320,9 +327,8 @@ def engset_ofl(loads: LoadVector | Sequence[float], w: int) -> BlockingMetrics:
     which for a one-source class is A_c P(N_<c >= W).
     """
     a, offered = _validated(loads, w)
-    if w > len(a):  # every source always finds a free channel
-        zeros = (0.0,) * len(a)
-        return BlockingMetrics(0.0, 0.0, 0.0, zeros, zeros)
+    if w > len(a):
+        return _unblocked(len(a))
     classes = _LoadClasses.of(a)
     r = arrival_intensities(classes.loads)
     # A class's terms C(n_c, k) r_c^k, k = 0..n_c, give its factor and, when
@@ -333,8 +339,7 @@ def engset_ofl(loads: LoadVector | Sequence[float], w: int) -> BlockingMetrics:
         terms = _binomial_factor(n, rc, n, fold=False)
         tails.append(np.cumsum(terms[::-1])[::-1] if n > 1 else None)
         factors.append(_cut(terms, w, fold=True))
-    full, pairs = _leave_one_out(factors, classes.counts, r, w, fold=True)
-    time_c = _at(full, w) / float(full.sum())
+    time_c, pairs = _leave_one_out(factors, classes.counts, r, w, fold=True)
 
     per_call, excess = [], []
     for (prefix, rest), n, x, own in zip(pairs, classes.counts, classes.loads, tails):
@@ -344,11 +349,10 @@ def engset_ofl(loads: LoadVector | Sequence[float], w: int) -> BlockingMetrics:
         per_call.append(_snap01(float(prefix @ np.cumsum(rest[::-1]))
                                 / (total * float(rest.sum()))))
         if n == 1:
-            excess.append(x * _at(prefix, w) / total)
+            excess.append(x * float(prefix[w]) / total)
             continue
-        # before[k] for P(N_<c >= k), scaled by its total, zero above the prefix.
-        before = np.zeros(w + 1)
-        before[:len(prefix)] = np.cumsum(prefix[::-1])[::-1]
+        # before[k] for P(N_<c >= k), scaled by its total; contiguous, for @'s summation order.
+        before = np.ascontiguousarray(np.cumsum(prefix[::-1])[::-1])
         j = min(n, w)
         excess.append((float(own[1:j + 1] @ before[w:w - j:-1]) / float(before[0])
                        + float(own[w + 1:].sum())) / float(own[0]))

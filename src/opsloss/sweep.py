@@ -129,8 +129,6 @@ def default_tui_grid(m: int, total_load: float) -> tuple[float, ...]:
     """Uniformity grid anchored at 1.0, descending in steps of 0.05, clipped
     to the feasible range; the closed lower boundary 1/M is included
     whenever it is reachable (total_load < 1)."""
-    if m == 1:
-        return (1.0,)
     step = 0.05
     closed = total_load < 1.0
     bound = min_feasible_tui(m, total_load)

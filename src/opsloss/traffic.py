@@ -88,9 +88,7 @@ def tui(loads: LoadVector | Sequence[float]) -> float:
 
 
 def _family_tui(m: int, p: float) -> float:
-    # Index of the one-hot family: weights (p, (1-p)/(m-1), ...).
-    if m == 1:
-        return 1.0
+    # Index of the one-hot family: weights (p, (1-p)/(m-1), ...), m >= 2.
     return 1.0 / (m * (p * p + (1.0 - p) ** 2 / (m - 1)))
 
 
@@ -101,7 +99,6 @@ def _solve_hot_weight(m: int, target: float) -> float:
         return lo
     if abs(target - 1.0 / m) <= 1e-12:
         return hi
-    p = 0.5 * (lo + hi)
     for _ in range(_MAX_BISECTION_STEPS):
         p = 0.5 * (lo + hi)
         value = _family_tui(m, p)

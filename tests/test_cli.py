@@ -64,6 +64,14 @@ class TestTuiCommand:
         assert code == 2
         assert "exclusive" in err
 
+    @pytest.mark.parametrize("argv", [("--m", "4"), ("--m", "4", "--total", "1.0"),
+                                      ("--total", "1.0", "--tui", "0.5")])
+    def test_partial_synthesis_flags_exit_2(self, capsys, argv):
+        code, out, err = run_cli(capsys, "tui", *argv)
+        assert code == 2
+        assert out == ""
+        assert "all of --m, --total and --tui" in err
+
 
 class TestAnalyzeCommand:
     def test_lcc_reference_row(self, capsys):
@@ -85,6 +93,16 @@ class TestAnalyzeCommand:
                             "--model", "lcc")
         traffic = [l for l in out.splitlines() if ",traffic," in l][0]
         assert traffic.split(",")[7] == "0.00000000"
+
+    def test_underflowing_near_one_loads_exit_2(self, capsys):
+        # Odds about 1e10 apart: every state of at most W active sources
+        # underflows to zero in double precision.
+        loads = ",".join(["0.9999999999999991"] * 31 + ["0.9999999999990905"] * 39)
+        code, out, err = run_cli(capsys, "analyze", "--loads", loads, "--w", "40",
+                                 "--model", "lcc")
+        assert code == 2
+        assert out == ""
+        assert "loads too close to 1" in err
 
     def test_oracle_over_cap_exits_2(self, capsys):
         code, _, err = run_cli(capsys, "analyze", "--loads", ",".join(["0.1"] * 64),
@@ -396,6 +414,18 @@ class TestConfigFile:
                                "--loads", "0.7,0.1")
         assert code == 0
         assert "0.112903226" in out
+
+    def test_blank_and_comment_lines_are_skipped(self, capsys, tmp_path):
+        cfg = tmp_path / "analyze.conf"
+        cfg.write_text("# reference point\n\nloads = 0.4,0.4\n   \n  # W\nw = 1\nmodel = lcc\n")
+        code, out, _ = run_cli(capsys, "analyze", "--config", str(cfg))
+        assert code == 0
+        assert "0.285714286" in out
+        spec = tmp_path / "mini.sweep"
+        spec.write_text("# a spec file\n\nm = 4\nw = 1\n\nload = 0.5\ntui = 1.0\n")
+        code, out, _ = run_cli(capsys, "sweep", "--spec", str(spec))
+        assert code == 0
+        assert len(out.splitlines()) == 1 + 3
 
     def test_unknown_config_key_rejected(self, capsys, tmp_path):
         cfg = tmp_path / "bad.conf"

@@ -12,8 +12,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from opsloss import (ZeroTrafficError, ctmc_oracle, engset_classical, engset_lcc,
-                     engset_ofl, make_load_vector)
+from opsloss import (BlockingMetrics, ZeroTrafficError, ctmc_oracle, engset_classical,
+                     engset_lcc, engset_ofl, make_load_vector)
+from opsloss import engset
 
 loads_strategy = st.lists(st.floats(0.0, 0.95), min_size=1, max_size=8).filter(
     lambda xs: sum(xs) > 0)
@@ -318,6 +319,70 @@ class TestLoadClasses:
     def test_distinct_loads_pinned_at_full_precision(self, m, w, digest):
         fields = dataclasses.astuple(engset_lcc(distinct_loads(m, w), w))
         assert hashlib.sha256(repr(fields).encode()).hexdigest() == digest
+
+
+# Odds about 1e10 apart or more: each class factor is scaled to its own
+# peak, so every degree <= W of their product underflows to zero. The
+# first fails at the sum of the full product, the second at a class's
+# leave-one-out sum.
+NEAR_ONE = [0.9999999999999991] * 31 + [0.9999999999990905] * 39
+NEAR_ONE_FOUR_CLASSES = ([0.9] * 60 + [0.9999999999708962] * 72
+                         + [0.9999999999990905] * 60 + [0.99999] * 64)
+
+
+class TestWalkBounds:
+    """Every row of the walk holds degrees 0..W; W > M exits before it."""
+
+    @pytest.mark.parametrize("w", [5, 6, 9])
+    def test_w_above_m_is_one_all_zero_result(self, w):
+        zero = BlockingMetrics(0.0, 0.0, 0.0, (0.0,) * 4, (0.0,) * 4)
+        assert engset_lcc([0.4, 0.9, 0.0, 0.4], w) == zero
+        assert engset_ofl([0.4, 0.9, 0.0, 0.4], w) == zero
+        assert engset_classical(4, 0.4, w) == zero
+
+    @pytest.mark.parametrize("loads, w", [
+        *((NEAR_ONE, w) for w in (39, 40, 41, 42)),
+        (NEAR_ONE_FOUR_CLASSES, 112),
+    ])
+    def test_underflow_near_one_is_a_value_error(self, loads, w):
+        with pytest.raises(ValueError, match="loads too close to 1"):
+            engset_lcc(loads, w)
+
+    def test_random_near_one_loads_solve_or_raise_value_error(self):
+        rng = random.Random(8)
+        raised = 0
+        for _ in range(4000):
+            pool = [1.0 - 10.0 ** -rng.uniform(8, 16) for _ in range(rng.randint(1, 4))]
+            loads = [min(rng.choice(pool), math.nextafter(1.0, 0.0))
+                     for _ in range(rng.randint(2, 120))]
+            try:
+                m = engset_lcc(loads, rng.randint(1, len(loads)))
+            except ValueError:
+                raised += 1
+                continue
+            for v in (m.time_congestion, m.call_congestion, m.traffic_congestion,
+                      *m.per_source_call, *m.per_source_traffic):
+                assert 0.0 <= v <= 1.0  # NaN fails too
+        assert raised > 0
+
+    def test_out_of_range_metrics_are_rejected(self):
+        with pytest.raises(ValueError, match="outside"):
+            BlockingMetrics(0.5, 0.5, 1.5, (0.5,), (0.5,))
+        with pytest.raises(ValueError, match="outside"):
+            BlockingMetrics(0.5, 0.5, 0.5, (float("nan"),), (0.5,))
+
+    def test_snap01_clamps_rounding_noise_only(self):
+        assert engset._snap01(-1e-12) == 0.0
+        assert engset._snap01(1.0 + 2.0 ** -52) == 1.0
+        assert engset._snap01(-1e-3) == -1e-3
+        assert engset._snap01(1.5) == 1.5
+
+    def test_ofl_per_class_call_clamps_to_one(self, monkeypatch):
+        snap, seen = engset._snap01, []
+        monkeypatch.setattr(engset, "_snap01", lambda x: seen.append(x) or snap(x))
+        m = engset_ofl([0.999999999] * 3 + [0.9] * 3, 1)
+        assert 1.0000000000000002 in seen
+        assert max(m.per_source_call) == 1.0
 
 
 def distinct_loads(m, w):

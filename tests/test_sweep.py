@@ -39,6 +39,13 @@ class TestDefaultGrid:
         assert grid[0] == pytest.approx(0.25)
         assert all(t > 0.234375 for t in grid)
 
+    def test_one_source_grid(self):
+        assert default_tui_grid(1, 0.5) == (1.0,)
+        # No valid loads exist for a total of at least M, as at M = 2.
+        for m, total in ((1, 1.5), (2, 2.5)):
+            with pytest.raises(ValueError, match="no valid load vector"):
+                default_tui_grid(m, total)
+
     def test_every_grid_point_is_feasible(self):
         for m, total in ((2, 0.8), (8, 0.5), (16, 2.0), (32, 4.0)):
             for t in default_tui_grid(m, total):
@@ -127,6 +134,18 @@ class TestRunSweep:
     def test_spec_rejects_non_finite_or_non_positive_load(self, load):
         with pytest.raises(ValueError, match="per-wavelength load"):
             SweepSpec(name="t", m=2, w_values=(1,), per_wavelength_load=load)
+
+    @pytest.mark.parametrize("fields, message", [
+        (dict(m=0), "M must be >= 1"),
+        (dict(w_values=()), "w_values"),
+        (dict(w_values=(1, 0)), "w_values"),
+        (dict(models=("lcc", "erlang")), "unknown models"),
+        (dict(models=()), "at least one model"),
+    ])
+    def test_spec_rejects_bad_grid_or_models(self, fields, message):
+        with pytest.raises(ValueError, match=message):
+            SweepSpec(**{"name": "t", "m": 2, "w_values": (1,), "per_wavelength_load": 0.5,
+                         **fields})
 
     @pytest.mark.parametrize("settings, message", [
         (dict(replications=0), "replications"),

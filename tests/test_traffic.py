@@ -32,6 +32,9 @@ class TestLoadVector:
         assert lv.total == pytest.approx(0.5)
         assert list(lv) == [0.3, 0.2, 0.0]
         assert len(lv) == 3
+        assert lv[1] == 0.2
+        assert lv[-1] == 0.0
+        assert lv[:2] == (0.3, 0.2)
 
     def test_zero_loads_are_legal(self):
         LoadVector((0.0, 0.0))  # only tui() rejects the all-zero vector
@@ -113,6 +116,23 @@ class TestMakeLoadVector:
     def test_no_vector_at_all_when_total_reaches_m(self):
         with pytest.raises(InfeasibleTuiError):
             make_load_vector(2, 2.0, 1.0)
+
+    def test_one_source(self):
+        assert make_load_vector(1, 0.5, 1.0).loads == (0.5,)
+        with pytest.raises(InfeasibleTuiError):
+            make_load_vector(1, 1.5, 1.0)
+
+    @pytest.mark.parametrize("m, total, message", [
+        (0, 0.5, "M must be >= 1"),
+        (-3, 0.5, "M must be >= 1"),
+        (4, 0.0, "positive"),
+        (4, -0.5, "positive"),
+    ])
+    def test_domain_errors(self, m, total, message):
+        with pytest.raises(ValueError, match=message):
+            make_load_vector(m, total, 1.0)
+        with pytest.raises(ValueError, match=message):
+            min_feasible_tui(m, total)
 
     def test_source_cap_names_cap_and_size(self):
         # tests/test_cli.py shows that nothing large is built on the way.
