@@ -23,6 +23,12 @@ then per workload, metric and side the median and quartiles of the
 end-to-end metrics and those ungated figures, and the number of pairs in
 which the change was strictly better. A label whose file already exists
 is refused before anything runs, so no record is overwritten.
+
+A run that exits nonzero ends the recording: the file is still written,
+with the runs so far, ``"complete": false`` and the failed run's side,
+workload, pair, seed, exit code and stderr tail under ``failure``; the
+summary covers only the pairs in which both sides ran, and the script
+exits 1.
 """
 
 import argparse
@@ -81,9 +87,7 @@ def run(root: Path, workload: str, seed: int, seconds: float) -> tuple[dict, dic
     ungated end-to-end figures of its ``# detail`` line, name -> value."""
     cmd = [sys.executable, str(root / "perfbench" / "run.py"), "--workload", workload,
            "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"]
-    proc = subprocess.run(cmd, cwd=root, capture_output=True, text=True)
-    if proc.returncode != 0:
-        sys.exit(f"error: {' '.join(cmd)} exited {proc.returncode}:\n{proc.stderr[-2000:]}")
+    proc = subprocess.run(cmd, cwd=root, capture_output=True, text=True, check=True)
     lines = proc.stdout.strip().splitlines()
     detail = next(json.loads(line.removeprefix(DETAIL)) for line in lines
                   if line.startswith(DETAIL))
@@ -100,6 +104,11 @@ def quartiles(values: list[float]) -> dict:
 
 
 def summarize(runs: list[dict], metrics: list[dict]) -> dict:
+    """The metrics over the pairs in which both sides ran."""
+    sides = [{r["pair"] for r in runs if r["side"] == side} for side in ("parent", "change")]
+    runs = [r for r in runs if r["pair"] in set.intersection(*sides)]
+    if not runs:
+        return {}
     out = {}
     for m in metrics:
         name = m["name"]
@@ -139,29 +148,36 @@ def main(argv=None) -> int:
     parent_commit = git("rev-parse", args.parent).decode().strip()
     change_dirty = bool(git("status", "--porcelain", "--", "src"))
 
-    runs = []
+    runs, failure = [], None
     with tempfile.TemporaryDirectory(prefix="bench_record_") as tmp:
         # Sibling directories whose names have one length, so both paths are as long.
         roots = {"parent": Path(tmp) / "parent", "change": Path(tmp) / "change"}
         src_sha256 = {"parent": build_side(roots["parent"], parent_commit),
                       "change": build_side(roots["change"], None)}
-        for pair in range(args.pairs):
-            seed = seeds[pair % len(seeds)]
-            order = ("parent", "change") if pair % 2 == 0 else ("change", "parent")
-            for workload in workloads:
-                for side in order:
-                    result, ungated = run(roots[side], workload, seed, seconds)
-                    runs.append({"workload": workload, "pair": pair, "seed": seed,
-                                 "side": side, "result": result, "ungated": ungated})
-                    print(f"pair {pair} {workload} seed {seed} {side}: "
-                          + json.dumps({**{k: v["value"] for k, v in result["metrics"].items()},
-                                        **ungated}),
-                          file=sys.stderr)
+        try:
+            for pair in range(args.pairs):
+                seed = seeds[pair % len(seeds)]
+                order = ("parent", "change") if pair % 2 == 0 else ("change", "parent")
+                for workload in workloads:
+                    for side in order:
+                        result, ungated = run(roots[side], workload, seed, seconds)
+                        runs.append({"workload": workload, "pair": pair, "seed": seed,
+                                     "side": side, "result": result, "ungated": ungated})
+                        print(f"pair {pair} {workload} seed {seed} {side}: " + json.dumps(
+                            {**{k: v["value"] for k, v in result["metrics"].items()},
+                             **ungated}), file=sys.stderr)
+        except subprocess.CalledProcessError as exc:
+            failure = {"side": side, "workload": workload, "pair": pair, "seed": seed,
+                       "exit": exc.returncode, "stderr_tail": exc.stderr[-2000:]}
+            print(f"error: {' '.join(exc.cmd)} exited {exc.returncode}:\n"
+                  f"{failure['stderr_tail']}", file=sys.stderr)
 
     record = {
         "parent": parent_commit,
         "change": None if change_dirty else git("rev-parse", "HEAD").decode().strip(),
         "change_dirty": change_dirty,
+        "complete": failure is None,
+        "failure": failure,
         "parent_src_sha256": src_sha256["parent"],
         "change_src_sha256": src_sha256["change"],
         "python": sys.version.split()[0],
@@ -175,7 +191,7 @@ def main(argv=None) -> int:
     }
     out.write_text(json.dumps(record, indent=1) + "\n")
     print(f"wrote {out}", file=sys.stderr)
-    return 0
+    return 0 if failure is None else 1
 
 
 if __name__ == "__main__":

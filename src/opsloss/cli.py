@@ -9,13 +9,16 @@ of ``key = value`` lines. The keys are the subcommand's long option
 names without the dashes (``seed = 7`` for ``--seed 7``), and the values
 go through the same parser as the flags, so a bad value is the same
 usage error; unknown and repeated keys, ``spec`` and ``config`` are
-rejected. A setting comes from the command line, else the spec file,
+rejected. The files' lines become ``--key=value`` arguments, and one
+list is parsed: the config file's, the spec file's, then the command
+line's, so a setting comes from the command line, else the spec file,
 else the config file. The ``simulate`` and ``sweep`` options are stored
 under their SimSpec and SweepSpec field names, and unset fields keep the
 spec's defaults, but an unset base seed is $ENGSET_SEED, else 0. A
 seed is an exact integer, or a float of integral value (``1e3``). A
-sweep's name defaults to its spec file's stem. ``sweep --preset P --out
-FILE`` writes the bytes the command prints without ``--out``.
+sweep's name defaults to its spec file's stem, and ``--name`` renames a
+preset's rows. ``sweep --preset P --out FILE`` writes the bytes the
+command prints without ``--out``.
 """
 
 from __future__ import annotations
@@ -106,22 +109,6 @@ def _dests(parser: argparse.ArgumentParser) -> dict[str, str]:
     return {option[2:]: action.dest for action in parser._actions
             for option in action.option_strings
             if option.startswith("--") and action.dest not in ("help", "spec", "config")}
-
-
-def _apply_config(args: argparse.Namespace) -> None:
-    """Fill the options not given on the command line from ``--spec``, then
-    from ``--config``.
-
-    The keys are the subcommand's own long option names. The values go
-    through the same parser as the flags, so they get the same conversions
-    and choices and the same usage errors.
-    """
-    for path in filter(None, (getattr(args, "spec", None), args.config)):
-        arguments = _read_key_values(path, _dests(args.parser))
-        parsed = args.parser.parse_args(list(arguments.values()))
-        for dest in arguments:
-            if getattr(args, dest) is None:
-                setattr(args, dest, getattr(parsed, dest))
 
 
 def _spec_fields(args: argparse.Namespace, spec_type: type) -> dict:
@@ -263,9 +250,17 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
+    argv = sys.argv[1:] if argv is None else argv
     args = build_parser().parse_args(argv)
     try:
-        _apply_config(args)
+        # The subcommand's parser reads one list: the config file's
+        # arguments, the spec file's, then the command line's after the
+        # subcommand (argv[0]; the top-level parser has no options).
+        # argparse keeps an option's last value, so this order is the
+        # precedence.
+        files = [argument for path in (args.config, getattr(args, "spec", None)) if path
+                 for argument in _read_key_values(path, _dests(args.parser)).values()]
+        args = args.parser.parse_args(files + argv[1:])
         return args.func(args)
     except (ValueError, EstimationError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

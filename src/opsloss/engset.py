@@ -125,12 +125,10 @@ class _LoadClasses:
 
 
 def _snap01(x: float) -> float:
-    """Clamp boundary rounding noise into [0, 1]; real violations still raise."""
-    if -_SNAP < x < 0.0:
-        return 0.0
-    if 1.0 < x < 1.0 + _SNAP:
-        return 1.0
-    return x
+    """Clamp rounding noise above 1 to 1. Every value passed here is a sum
+    or ratio of nonnegative numbers, so a negative one is a bug, and
+    BlockingMetrics rejects it."""
+    return 1.0 if 1.0 < x < 1.0 + _SNAP else x
 
 
 def _unblocked(m: int) -> BlockingMetrics:

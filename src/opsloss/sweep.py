@@ -207,9 +207,7 @@ def run_sweep(spec: SweepSpec) -> list[SweepRow]:
             try:
                 loads = make_load_vector(spec.m, total, target)
             except InfeasibleTuiError as exc:
-                bound = exc.min_feasible_tui
-                infeasible(w, target, "no feasible tui" if bound is None
-                           else f"min feasible tui {bound:.9g} exclusive")
+                infeasible(w, target, f"min feasible tui {exc.min_feasible_tui:.9g} exclusive")
                 continue
             for model in spec.models:
                 rows.extend(metric_rows(spec.name, spec.m, w, spec.per_wavelength_load, target,
@@ -264,8 +262,9 @@ def preset_names() -> tuple[str, ...]:
     return tuple(_PRESETS)
 
 
-def make_preset(name: str, **changes) -> SweepSpec:
-    """Stock SweepSpec by name, with the SweepSpec fields in ``changes`` replaced."""
-    if name not in _PRESETS:
-        raise ValueError(f"unknown preset {name!r}; available: {', '.join(_PRESETS)}")
-    return dataclasses.replace(_PRESETS[name], **changes)
+def make_preset(preset: str, /, **changes) -> SweepSpec:
+    """Stock SweepSpec by name, with the SweepSpec fields in ``changes``
+    (``name`` too) replaced."""
+    if preset not in _PRESETS:
+        raise ValueError(f"unknown preset {preset!r}; available: {', '.join(_PRESETS)}")
+    return dataclasses.replace(_PRESETS[preset], **changes)

@@ -364,6 +364,15 @@ class TestSweepCommand:
         assert text.startswith("name,M,W")
         assert text == printed
 
+    def test_name_renames_preset_rows(self, capsys, tmp_path):
+        cfg = tmp_path / "run.conf"
+        cfg.write_text("name = mine\n")
+        for argv in (("--name", "mine"), ("--config", str(cfg))):
+            code, out, _ = run_cli(capsys, "sweep", "--preset", "fig3", "--models", "lcc", *argv)
+            assert code == 0
+            rows = out.splitlines()[1:]
+            assert rows and all(row.startswith("mine,") for row in rows)
+
     def test_preset_and_spec_mutually_exclusive(self, capsys, tmp_path):
         spec = tmp_path / "x.sweep"
         spec.write_text("m = 2\nw = 1\nload = 0.5\n")
@@ -534,6 +543,58 @@ class TestSweepSeedPrecedence:
         for argv in (("--spec", str(spec)), ("--preset", "fig3", "--seed", "3")):
             code, _, err = run_cli(capsys, "sweep", *argv, *self.SIM)
             assert code == 0, err
+
+
+class TestSweepKeyPrecedence:
+    """Every sweep key: flag > spec file > config file."""
+
+    BASE = {"name": "s", "m": "2", "w": "1", "load": "0.5", "tui": "1.0",
+            "models": "lcc,sim-cleared", "horizon": "200", "reps": "2", "seed": "1"}
+
+    @pytest.mark.parametrize("key, config, spec, flag", [
+        ("name", "cfg", "spc", "flg"),
+        ("m", "2", "3", "4"),
+        ("w", "1", "2", "1,2"),
+        ("tui", "0.8", "0.9", "1.0"),
+        ("models", "lcc", "classical", "ofl"),
+        ("horizon", "200", "300", "400"),
+        ("warmup", "10", "20", "30"),
+        ("reps", "2", "3", "4"),
+        ("out", "c.csv", "s.csv", "f.csv"),
+    ])
+    def test_key(self, capsys, tmp_path, key, config, spec, flag):
+        if key == "out":
+            config, spec, flag = (str(tmp_path / v) for v in (config, spec, flag))
+        base = {k: v for k, v in self.BASE.items() if k != key}
+        base_flags = [arg for k, v in base.items() for arg in (f"--{k}", v)]
+        refs = {v: run_cli(capsys, "sweep", *base_flags, f"--{key}", v)
+                for v in (config, spec, flag)}
+        assert refs[flag][0] == 0
+        assert len({ref[1:] for ref in refs.values()}) == 3
+
+        def write(name, settings):
+            path = tmp_path / name
+            path.write_text("".join(f"{k} = {v}\n" for k, v in settings.items()))
+            return str(path)
+
+        cfg = ("--config", write("run.conf", {key: config}))
+        with_key = ("--spec", write("with.sweep", {**base, key: spec}))
+        without_key = ("--spec", write("without.sweep", base))
+        assert run_cli(capsys, "sweep", *cfg, *with_key, f"--{key}", flag) == refs[flag]
+        assert run_cli(capsys, "sweep", *cfg, *with_key) == refs[spec]
+        assert run_cli(capsys, "sweep", *cfg, *without_key) == refs[config]
+
+    def test_preset(self, capsys, tmp_path):
+        # A preset cannot share a run with --spec: config against flag only.
+        cfg = tmp_path / "run.conf"
+        cfg.write_text("preset = fig3\n")
+        refs = {p: run_cli(capsys, "sweep", "--preset", p, "--models", "lcc")
+                for p in ("fig3", "fig4")}
+        assert refs["fig3"][0] == 0
+        assert refs["fig3"] != refs["fig4"]
+        assert run_cli(capsys, "sweep", "--config", str(cfg), "--models", "lcc") == refs["fig3"]
+        assert run_cli(capsys, "sweep", "--config", str(cfg), "--preset", "fig4",
+                       "--models", "lcc") == refs["fig4"]
 
 
 class TestUsageErrors:

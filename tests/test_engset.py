@@ -372,7 +372,9 @@ class TestWalkBounds:
             BlockingMetrics(0.5, 0.5, 0.5, (float("nan"),), (0.5,))
 
     def test_snap01_clamps_rounding_noise_only(self):
-        assert engset._snap01(-1e-12) == 0.0
+        assert engset._snap01(-1e-12) == -1e-12
+        with pytest.raises(ValueError, match="outside"):
+            BlockingMetrics(engset._snap01(-1e-12), 0.5, 0.5, (0.5,), (0.5,))
         assert engset._snap01(1.0 + 2.0 ** -52) == 1.0
         assert engset._snap01(-1e-3) == -1e-3
         assert engset._snap01(1.5) == 1.5

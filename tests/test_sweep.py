@@ -200,6 +200,9 @@ class TestPresets:
         assert spec.models == ("lcc",)
         assert {key: getattr(spec, key) for key in FAST_SIM} == FAST_SIM
 
+    def test_name_override(self):
+        assert make_preset("fig3", name="mine").name == "mine"
+
     def test_preset_shapes(self):
         fig6 = make_preset("fig6")
         assert fig6.m == 32
