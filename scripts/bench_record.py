@@ -19,9 +19,11 @@ commit, the change's commit (HEAD, or null when ``src`` has uncommitted
 edits), a SHA-256 of each side's ``src`` tree as it ran, every run's
 result object (the last line perfbench prints) and its ungated ``wall_s``
 and, where the workload reports it (``sim-crossval``), ``attempts_per_s``;
-then per workload, metric and side the median and quartiles of the
-end-to-end metrics and those ungated figures, and the number of pairs in
-which the change was strictly better. A label whose file already exists
+the host's ``os.cpu_count()`` once, and its ``os.getloadavg()`` taken just
+before each run in that run's record, so that a drift can be read against
+how busy the host was; then per workload, metric and side the median and
+quartiles of the end-to-end metrics and those ungated figures, and the
+number of pairs in which the change was strictly better. A label whose file already exists
 is refused before anything runs, so no record is overwritten.
 
 A run that exits nonzero ends the recording: the file is still written,
@@ -35,6 +37,7 @@ import argparse
 import hashlib
 import io
 import json
+import os
 import shutil
 import statistics
 import subprocess
@@ -160,12 +163,15 @@ def main(argv=None) -> int:
                 order = ("parent", "change") if pair % 2 == 0 else ("change", "parent")
                 for workload in workloads:
                     for side in order:
+                        loadavg = os.getloadavg()
                         result, ungated = run(roots[side], workload, seed, seconds)
                         runs.append({"workload": workload, "pair": pair, "seed": seed,
-                                     "side": side, "result": result, "ungated": ungated})
-                        print(f"pair {pair} {workload} seed {seed} {side}: " + json.dumps(
-                            {**{k: v["value"] for k, v in result["metrics"].items()},
-                             **ungated}), file=sys.stderr)
+                                     "side": side, "result": result, "ungated": ungated,
+                                     "loadavg": loadavg})
+                        print(f"pair {pair} {workload} seed {seed} {side} "
+                              f"(load {loadavg[0]:.2f}): " + json.dumps(
+                                  {**{k: v["value"] for k, v in result["metrics"].items()},
+                                   **ungated}), file=sys.stderr)
         except subprocess.CalledProcessError as exc:
             failure = {"side": side, "workload": workload, "pair": pair, "seed": seed,
                        "exit": exc.returncode, "stderr_tail": exc.stderr[-2000:]}
@@ -181,6 +187,7 @@ def main(argv=None) -> int:
         "parent_src_sha256": src_sha256["parent"],
         "change_src_sha256": src_sha256["change"],
         "python": sys.version.split()[0],
+        "cpu_count": os.cpu_count(),
         "run_seconds": seconds,
         "seeds": seeds,
         "pairs": args.pairs,

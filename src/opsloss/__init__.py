@@ -21,10 +21,11 @@ _EXPORTS = {
     **dict.fromkeys(["SIM_SOURCE_CAP", "Estimate", "ReplicationStats", "SimResult", "SimSpec",
                      "confidence_interval", "simulate"], "sim"),
     **dict.fromkeys(["ANALYTIC_MODELS", "CSV_HEADER", "METRICS", "MODELS", "SweepRow",
-                     "SweepSpec", "default_tui_grid", "make_preset", "preset_names",
-                     "rows_to_csv", "run_sweep"], "sweep"),
+                     "SweepSpec", "make_preset", "preset_names", "rows_to_csv", "run_sweep"],
+                    "sweep"),
     **dict.fromkeys(["SOURCE_CAP", "LoadVector", "arrival_intensities", "as_load_vector",
-                     "make_load_vector", "min_feasible_tui", "tui"], "traffic"),
+                     "default_tui_grid", "make_load_vector", "min_feasible_tui", "tui"],
+                    "traffic"),
 }
 
 __all__ = sorted(_EXPORTS)

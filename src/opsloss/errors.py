@@ -17,9 +17,6 @@ class InfeasibleTuiError(ValueError):
 
     def __init__(self, m: int, total_load: float, target_tui: float,
                  min_feasible_tui: float | None):
-        self.m = m
-        self.total_load = total_load
-        self.target_tui = target_tui
         self.min_feasible_tui = min_feasible_tui
         if min_feasible_tui is None:
             detail = f"no load vector with per-source loads below 1 exists (total_load >= M={m})"

@@ -32,7 +32,7 @@ from typing import TYPE_CHECKING, Callable
 from .errors import InfeasibleTuiError
 from .sim import (MODES, Estimate, SimResult, SimSpec, check_run_lengths, check_sim_sources,
                   simulate)
-from .traffic import LoadVector, make_load_vector, min_feasible_tui
+from .traffic import LoadVector, default_tui_grid, make_load_vector
 
 if TYPE_CHECKING:
     from .ctmc import CtmcSolution
@@ -123,31 +123,6 @@ class SweepRow:
     ci_half_width: float | None
     status: str = "ok"
     note: str = ""
-
-
-def default_tui_grid(m: int, total_load: float) -> tuple[float, ...]:
-    """Uniformity grid anchored at 1.0, descending in steps of 0.05, clipped
-    to the feasible range; the closed lower boundary 1/M is included
-    whenever it is reachable (total_load < 1)."""
-    step = 0.05
-    closed = total_load < 1.0
-    bound = min_feasible_tui(m, total_load)
-    ts: list[float] = []
-    k = 0
-    while True:
-        t = 1.0 - k * step
-        if closed:
-            if t < bound - 1e-9:
-                break
-            ts.append(max(t, bound))
-        else:
-            if t <= bound + 1e-12:
-                break
-            ts.append(t)
-        k += 1
-    if closed and not math.isclose(ts[-1], bound, rel_tol=0.0, abs_tol=1e-12):
-        ts.append(bound)
-    return tuple(sorted(set(ts)))
 
 
 def evaluate(model: str, loads: LoadVector, w: int,

@@ -131,6 +131,25 @@ def min_feasible_tui(m: int, total_load: float) -> float:
     return _family_tui(m, 1.0 / total_load)
 
 
+# The sweep's uniformity steps 0.0, 0.05, ..., 1.0, ascending.
+_TUI_STEPS = tuple(1.0 - k * 0.05 for k in range(20, -1, -1))
+
+
+def default_tui_grid(m: int, total_load: float) -> tuple[float, ...]:
+    """Ascending uniformity grid: the 0.05 steps above min_feasible_tui.
+
+    A closed bound (total_load < 1) is a grid point itself. An open bound
+    is cleared by TUI_TOLERANCE below 1.0: a target that far above it stops
+    the bisection at a hot weight below 1/total_load. 1.0 itself is the
+    even split, built without bisection. So make_load_vector builds every
+    point of the grid.
+    """
+    bound = min_feasible_tui(m, total_load)
+    if total_load < 1.0:
+        return (bound, *(t for t in _TUI_STEPS if t > bound))
+    return tuple(t for t in _TUI_STEPS if t > (bound if t == 1.0 else bound + TUI_TOLERANCE))
+
+
 def make_load_vector(m: int, total_load: float, target_tui: float) -> LoadVector:
     """Loads with the given total and uniformity index.
 

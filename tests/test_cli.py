@@ -55,9 +55,18 @@ class TestTuiCommand:
         assert "TUI undefined" in err
 
     def test_infeasible_target_reports_range(self, capsys):
-        code, _, err = run_cli(capsys, "tui", "--m", "32", "--total", "8", "--tui", "0.6")
-        assert code == 2
-        assert "0.775" in err
+        code, out, err = run_cli(capsys, "tui", "--m", "32", "--total", "8", "--tui", "0.6")
+        assert (code, out) == (2, "")
+        assert err == ("error: target tui 0.6 is infeasible for M=32, total load 8: "
+                       "hot-source load 8 * p would reach 1; "
+                       "feasible tui range is (0.775, 1]\n")
+
+    def test_total_at_least_m_reports_no_vector(self, capsys):
+        code, out, err = run_cli(capsys, "tui", "--m", "2", "--total", "3", "--tui", "0.8")
+        assert (code, out) == (2, "")
+        assert err == ("error: target tui 0.8 is infeasible for M=2, total load 3: "
+                       "no load vector with per-source loads below 1 exists "
+                       "(total_load >= M=2)\n")
 
     def test_mutually_exclusive_flags(self, capsys):
         code, _, err = run_cli(capsys, "tui", "--loads", "0.5", "--m", "2")
@@ -231,6 +240,14 @@ class TestSweepCommand:
         _, out, _ = run_cli(capsys, "sweep", "--preset", "fig6", "--models", "classical,lcc")
         for line in out.splitlines()[1:]:
             assert line.split(",")[8] == ""
+
+    def test_infeasible_point_rows_name_the_bound(self, capsys):
+        code, out, _ = run_cli(capsys, "sweep", "--m", "32", "--w", "16", "--load", "0.5",
+                               "--tui", "0.6", "--models", "lcc")
+        assert code == 0
+        assert out.splitlines()[1:] == [
+            f"sweep,32,16,0.500000000,0.600000000,lcc,{metric},,,infeasible,"
+            "min feasible tui 0.775 exclusive" for metric in ("time", "call", "traffic")]
 
     def test_unknown_preset_exits_2_listing_presets(self, capsys):
         code, _, err = run_cli(capsys, "sweep", "--preset", "nope")

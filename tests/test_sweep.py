@@ -46,10 +46,45 @@ class TestDefaultGrid:
             with pytest.raises(ValueError, match="no valid load vector"):
                 default_tui_grid(m, total)
 
+    @staticmethod
+    def near_open_bound_totals():
+        """Totals whose open bound sits at, or within 1e-10 of, a 0.05 step t:
+        1/p at the exact one-hot weight p of t, nudged by a relative e."""
+        for m in (2, 3, 8, 32, 256):
+            for k in range(21):
+                t = 1.0 - 0.05 * k
+                if t <= 1.0 / m:
+                    continue
+                p = (1.0 + math.sqrt((m - 1) * (1.0 / t - 1.0))) / m
+                for e in (0.0, 1e-16, -1e-16, 1e-14, -1e-14, 1e-12, -1e-12,
+                          1e-11, -1e-11, 1e-10, -1e-10):
+                    total = (1.0 / p) * (1.0 + e)
+                    if 1.0 <= total < m:
+                        yield m, total
+
     def test_every_grid_point_is_feasible(self):
-        for m, total in ((2, 0.8), (8, 0.5), (16, 2.0), (32, 4.0)):
+        inputs = [(2, 0.8), (8, 0.5), (16, 2.0), (32, 4.0), *self.near_open_bound_totals()]
+        assert len(inputs) == 4 + 872
+        for m, total in inputs:
             for t in default_tui_grid(m, total):
                 make_load_vector(m, total, t)
+
+    @pytest.mark.parametrize("m, total", [(2, 1.99999997), (4096, 4095.0)])
+    def test_even_split_listed_next_to_an_open_bound(self, m, total):
+        # The bound lies within 1e-10 of 1 (1e-11 below at M = 4096), but
+        # 1.0 needs no bisection: its loads are total / M each.
+        assert default_tui_grid(m, total) == (1.0,)
+        assert make_load_vector(m, total, 1.0).loads == (total / m,) * m
+
+    def test_round_load_grids_pinned(self):
+        # Every grid at M in 1..64, 256, 1024, 4096, W in 1..32 and A in
+        # 0.05..0.95, total A * W < M, as the closed and open bounds gave it.
+        grids = [default_tui_grid(m, a * w)
+                 for m in (*range(1, 65), 256, 1024, 4096) for w in range(1, 33)
+                 for a in (k / 20 for k in range(1, 20)) if a * w < m]
+        assert len(grids) == 35986
+        assert hashlib.sha256(repr(grids).encode()).hexdigest() == (
+            "2073b1a58c0425394ba0c07bcc26ce45836ef0aec0184c560631720c0699d3d9")
 
 
 class TestRunSweep:

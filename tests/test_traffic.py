@@ -173,7 +173,7 @@ class TestMakeLoadVector:
 
     @pytest.mark.parametrize("total", [math.nan, math.inf])
     def test_min_feasible_tui_rejects_non_finite_total(self, total):
-        # A NaN bound would leave default_tui_grid's loop without an exit.
+        # A non-finite total has no feasible range; say so rather than return NaN.
         with pytest.raises(ValueError, match="finite"):
             min_feasible_tui(4, total)
 
