@@ -17,7 +17,9 @@ first in odd ones. Each run lasts the ``run_seconds`` of BENCHMARK.json.
 Writes ``BENCH_<label>.json`` at the root of this checkout: the parent
 commit, the change's commit (HEAD, or null when ``src`` has uncommitted
 edits), a SHA-256 of each side's ``src`` tree as it ran, every run's
-result object (the last line perfbench prints) and its ungated ``wall_s``
+result object (the last line perfbench prints) and its ungated ``wall_s``,
+``passes`` (a gain in throughput means more passes, and perfbench's
+recorder keeps every latency, so ``peak_rss_mb`` follows the pass count)
 and, where the workload reports it (``sim-crossval``), ``attempts_per_s``;
 the host's ``os.cpu_count()`` once, and its ``os.getloadavg()`` taken just
 before each run in that run's record, so that a drift can be read against
@@ -51,6 +53,7 @@ DETAIL = "# detail "
 # Recorded next to the gated metrics of BENCHMARK.json, never gated, on
 # each workload whose ``# detail`` line has them.
 UNGATED = [{"name": "wall_s", "unit": "s", "better": "lower"},
+           {"name": "passes", "unit": "count", "better": "higher"},
            {"name": "attempts_per_s", "unit": "1/s", "better": "higher"}]
 
 
@@ -87,15 +90,17 @@ def build_side(dest: Path, ref: str | None) -> str:
 
 def run(root: Path, workload: str, seed: int, seconds: float) -> tuple[dict, dict]:
     """One perfbench run: the result object (its last stdout line), and the
-    ungated end-to-end figures of its ``# detail`` line, name -> value."""
+    ungated figures of its ``# detail`` line (the end-to-end ones and the
+    pass count), name -> value."""
     cmd = [sys.executable, str(root / "perfbench" / "run.py"), "--workload", workload,
            "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"]
     proc = subprocess.run(cmd, cwd=root, capture_output=True, text=True, check=True)
     lines = proc.stdout.strip().splitlines()
     detail = next(json.loads(line.removeprefix(DETAIL)) for line in lines
                   if line.startswith(DETAIL))
-    ungated = {m["name"]: detail["e2e"][m["name"]][0] for m in UNGATED
-               if m["name"] in detail["e2e"]}
+    figures = {name: value for name, (value, _) in detail["e2e"].items()}
+    figures["passes"] = detail["passes"]
+    ungated = {m["name"]: figures[m["name"]] for m in UNGATED if m["name"] in figures}
     return json.loads(lines[-1]), ungated
 
 

@@ -32,11 +32,11 @@ once per class, not once per source, on one core:
   suffix row is kept, s = isqrt(classes); each block of s classes
   rebuilds its rows from the kept row on its right by the same products,
   bit for bit. Cost O(classes * W^2) time and O(sqrt(classes) * W + M)
-  memory (the rows, and the class factors: a factor keeps at most W + 1
-  coefficients but holds the buffer of all n_c + 1 binomial terms, and
-  OFL also keeps a class's n_c + 1 tail sums when n_c > 1); the
-  paper's one-hot loads have two classes, all-distinct loads M classes of
-  one source each.
+  memory: about 2 sqrt(classes) rows, each dropped once read, factors
+  only for the classes with n_c > 1 (OFL's holds the buffer of all n_c + 1
+  terms, and their tail sums), and the per-source results. The paper's
+  one-hot loads have two classes, all-distinct loads M classes of one
+  source each.
 - Every row holds degrees 0..W: for W > M both models return all-zero
   metrics before any factor is built. The walk returns the pairs and the
   time congestion, the full product's top coefficient over its sum.
@@ -69,9 +69,10 @@ one-class LCC call, used as the uniformity-blind baseline.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
-from typing import Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -93,8 +94,9 @@ class BlockingMetrics:
     per_source_traffic: tuple[float, ...]
 
     def __post_init__(self):
-        for v in (self.time_congestion, self.call_congestion, self.traffic_congestion,
-                  *self.per_source_call, *self.per_source_traffic):
+        for v in itertools.chain((self.time_congestion, self.call_congestion,
+                                  self.traffic_congestion),
+                                 self.per_source_call, self.per_source_traffic):
             if not (0.0 <= v <= 1.0):
                 raise ValueError(f"congestion value {v!r} outside [0, 1]")
 
@@ -119,7 +121,7 @@ class _LoadClasses:
     def per_source(self, per_class: Sequence[float]) -> tuple[float, ...]:
         return tuple(per_class[c] for c in self.members)
 
-    def total(self, per_class: Sequence[float]) -> float:
+    def total(self, per_class: Iterable[float]) -> float:
         """Sum over sources of a per-class value."""
         return math.fsum(n * x for n, x in zip(self.counts, per_class))
 
@@ -190,52 +192,60 @@ def _times(row: np.ndarray, factor: np.ndarray, fold: bool) -> np.ndarray:
     return _rescaled(_cut(np.convolve(row, factor), len(row) - 1, fold))
 
 
-def _suffix_rows(factors: Sequence[np.ndarray], stop: int, row: np.ndarray, fold: bool,
+def _suffix_rows(factor: Callable[[int], np.ndarray], stop: int, row: np.ndarray, fold: bool,
                  start: int = 0, every: int = 1) -> dict[int, np.ndarray]:
     """Suffix rows ``stop`` (given as ``row``) down to ``start``, keeping row
     ``stop`` and every row c with c % every == 0.
 
-    Row c is the product of the class factors c.. (row 0 is e_k(r)); the
-    same rows always come from the same products, so a row rebuilt from a
-    kept one is bit for bit the row it replaces.
+    Row c is the product of the class factors ``factor(c)``.. (row 0 is
+    e_k(r)); the same rows always come from the same products, so a row
+    rebuilt from a kept one is bit for bit the row it replaces.
     """
     rows = {stop: row}
     for c in range(stop - 1, start - 1, -1):
-        row = _times(row, factors[c], fold)
+        row = _times(row, factor(c), fold)
         if c % every == 0:
             rows[c] = row
     return rows
 
 
-def _leave_one_out(factors: Sequence[np.ndarray], counts: Sequence[int], r: Sequence[float],
+def _leave_one_out(factors: dict[int, np.ndarray], counts: Sequence[int], r: Sequence[float],
                    w: int, fold: bool) -> tuple[float, Iterator[tuple[np.ndarray, np.ndarray]]]:
     """Time congestion full[W] / sum(full), ``full`` the product of the class
     factors (1 + r_c x)^{n_c}, and each class's leave-one-out pair.
 
+    ``factors`` holds the factors of the classes with n_c > 1, by class; a
+    one-source class's factor [1, r_c] is a row of one (classes, 2) array.
     Every row holds degrees 0..W, W <= M: each product is cut at degree W.
     Class c's pair (prefix, rest) multiplies to the generating polynomial of
     the other sources when one source of class c is left out: prefix is the
     product of the factors before c, rest the product of those after c
     times (1 + r_c x)^{n_c - 1}. Checkpoints 0, s, 2s, ... and C are kept,
     s = isqrt(classes); each block of s classes rebuilds its own suffix rows
-    from the checkpoint on its right. The pairs are made lazily.
+    from the checkpoint on its right. The pairs are made lazily, and every
+    row is dropped once read, so at most about 2 s rows of W + 1 are alive.
     """
+    two = np.column_stack((np.ones(len(r)), r))
+
+    def factor(c: int) -> np.ndarray:
+        return factors[c] if c in factors else two[c]
+
     step = max(1, math.isqrt(len(r)))
     one = np.zeros(w + 1)
     one[0] = 1.0
-    checkpoints = _suffix_rows(factors, len(r), one, fold, every=step)
+    checkpoints = _suffix_rows(factor, len(r), one, fold, every=step)
 
     def pairs() -> Iterator[tuple[np.ndarray, np.ndarray]]:
         prefix = one
         for c, (n, rc) in enumerate(zip(counts, r)):
             if c % step == 0:
                 end = min(c + step, len(r))
-                suffix = _suffix_rows(factors, end, checkpoints[end], fold, start=c + 1)
-            yield prefix, _times(suffix[c + 1], _binomial_factor(n - 1, rc, w, fold), fold)
+                suffix = _suffix_rows(factor, end, checkpoints.pop(end), fold, start=c + 1)
+            yield prefix, _times(suffix.pop(c + 1), _binomial_factor(n - 1, rc, w, fold), fold)
             if c + 1 < len(r):
-                prefix = _times(prefix, factors[c], fold)
+                prefix = _times(prefix, factor(c), fold)
 
-    return float(checkpoints[0][w]) / _nonzero(float(checkpoints[0].sum())), pairs()
+    return float(checkpoints[0][w]) / _nonzero(float(checkpoints.pop(0).sum())), pairs()
 
 
 def _validated(loads: LoadVector | Sequence[float], w: int) -> tuple[tuple[float, ...], float]:
@@ -253,11 +263,12 @@ def _lcc_metrics(classes: _LoadClasses, w: int) -> BlockingMetrics:
     if w > len(classes.members):
         return _unblocked(len(classes.members))
     r = arrival_intensities(classes.loads)
-    factors = [_binomial_factor(n, rc, w, fold=False) for n, rc in zip(classes.counts, r)]
+    factors = {c: _binomial_factor(n, rc, w, fold=False)
+               for c, (n, rc) in enumerate(zip(classes.counts, r)) if n > 1}
     time_c, pairs = _leave_one_out(factors, classes.counts, r, w, fold=False)
 
-    per_call, per_traffic, attempt_weights = [], [], []
-    for (prefix, rest), a, rc in zip(pairs, classes.loads, r):
+    per_call, per_traffic, attempt_weights = [], [], np.empty(len(r))
+    for c, ((prefix, rest), a, rc) in enumerate(zip(pairs, classes.loads, r)):
         # Only three sums of the coefficients of prefix * rest are needed,
         # each a dot product of prefix with rest or its running sums. The
         # common unknown scale cancels below.
@@ -267,12 +278,12 @@ def _lcc_metrics(classes: _LoadClasses, w: int) -> BlockingMetrics:
         eiw = float(prefix @ rest[::-1])               # degree W
         ratio = rc * hi / gi  # P(i on) / P(i off)
         per_call.append(_snap01(eiw / gi))
-        attempt_weights.append(rc / (1.0 + ratio))  # lam_i P(i off)
+        attempt_weights[c] = rc / (1.0 + ratio)  # lam_i P(i off)
         per_traffic.append(eiw / (gi + rc * hi) if a > 0.0 else 0.0)
 
-    call_c = (classes.total([wgt * b for wgt, b in zip(attempt_weights, per_call)])
+    call_c = (classes.total(wgt * b for wgt, b in zip(attempt_weights, per_call))
               / classes.total(attempt_weights))
-    traffic_c = (classes.total([a * t for a, t in zip(classes.loads, per_traffic)])
+    traffic_c = (classes.total(a * t for a, t in zip(classes.loads, per_traffic))
                  / classes.total(classes.loads))
     return BlockingMetrics(
         time_congestion=_snap01(time_c),
@@ -329,33 +340,35 @@ def engset_ofl(loads: LoadVector | Sequence[float], w: int) -> BlockingMetrics:
         return _unblocked(len(a))
     classes = _LoadClasses.of(a)
     r = arrival_intensities(classes.loads)
-    # A class's terms C(n_c, k) r_c^k, k = 0..n_c, give its factor and, when
-    # n_c > 1, its tail sums own[j] for P(X_c >= j), each scaled by its law's
-    # total. The tails are read before _cut folds degree W in place.
-    factors, tails = [], []
-    for n, rc in zip(classes.counts, r):
-        terms = _binomial_factor(n, rc, n, fold=False)
-        tails.append(np.cumsum(terms[::-1])[::-1] if n > 1 else None)
-        factors.append(_cut(terms, w, fold=True))
+    # A class with n_c > 1 has terms C(n_c, k) r_c^k, k = 0..n_c, that give its
+    # factor and its tail sums own[j] for P(X_c >= j), each scaled by its
+    # law's total. The tails are read before _cut folds degree W in place.
+    factors, tails = {}, {}
+    for c, (n, rc) in enumerate(zip(classes.counts, r)):
+        if n > 1:
+            terms = _binomial_factor(n, rc, n, fold=False)
+            tails[c] = np.cumsum(terms[::-1])[::-1]
+            factors[c] = _cut(terms, w, fold=True)
     time_c, pairs = _leave_one_out(factors, classes.counts, r, w, fold=True)
 
-    per_call, excess = [], []
-    for (prefix, rest), n, x, own in zip(pairs, classes.counts, classes.loads, tails):
+    per_call, excess = [], np.empty(len(r))
+    for c, ((prefix, rest), n, x) in enumerate(zip(pairs, classes.counts, classes.loads)):
         # P(N without i >= W) is the top coefficient of prefix * rest over
         # its sum.
         total = float(prefix.sum())
         per_call.append(_snap01(float(prefix @ np.cumsum(rest[::-1]))
                                 / (total * float(rest.sum()))))
         if n == 1:
-            excess.append(x * float(prefix[w]) / total)
+            excess[c] = x * float(prefix[w]) / total
             continue
         # before[k] for P(N_<c >= k), scaled by its total; contiguous, for @'s summation order.
         before = np.ascontiguousarray(np.cumsum(prefix[::-1])[::-1])
+        own = tails.pop(c)
         j = min(n, w)
-        excess.append((float(own[1:j + 1] @ before[w:w - j:-1]) / float(before[0])
-                       + float(own[w + 1:].sum())) / float(own[0]))
+        excess[c] = (float(own[1:j + 1] @ before[w:w - j:-1]) / float(before[0])
+                     + float(own[w + 1:].sum())) / float(own[0])
 
-    call_c = classes.total([x * b for x, b in zip(classes.loads, per_call)]) / offered
+    call_c = classes.total(x * b for x, b in zip(classes.loads, per_call)) / offered
     traffic_c = math.fsum(excess) / offered  # E[(N-W)+] / E[N]
     per_source = classes.per_source(per_call)
     return BlockingMetrics(

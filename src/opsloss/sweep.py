@@ -32,7 +32,7 @@ from typing import TYPE_CHECKING, Callable
 from .errors import InfeasibleTuiError
 from .sim import (MODES, Estimate, SimResult, SimSpec, check_run_lengths, check_sim_sources,
                   simulate)
-from .traffic import LoadVector, default_tui_grid, make_load_vector
+from .traffic import LoadVector, default_tui_grid, make_load_vector, min_feasible_tui
 
 if TYPE_CHECKING:
     from .ctmc import CtmcSolution
@@ -178,6 +178,10 @@ def run_sweep(spec: SweepSpec) -> list[SweepRow]:
             tuis = spec.tui_values
         else:
             tuis = default_tui_grid(spec.m, total)
+            if not tuis:  # an open bound that rounds to 1.0 leaves no step above it
+                bound = min_feasible_tui(spec.m, total)
+                infeasible(w, None, f"min feasible tui {bound:.9g} exclusive")
+                continue
         for target in tuis:
             try:
                 loads = make_load_vector(spec.m, total, target)

@@ -156,8 +156,9 @@ def make_load_vector(m: int, total_load: float, target_tui: float) -> LoadVector
     Uses the one-hot-spot family: weight p on the hot source and
     (1-p)/(M-1) on each cold source, with p found by bisection so that the
     index matches ``target_tui`` to within TUI_TOLERANCE. Raises
-    InfeasibleTuiError when the implied hot-source load reaches 1, and
-    SourceCountError, before building anything, when M > SOURCE_CAP.
+    InfeasibleTuiError when the implied hot or cold load reaches 1 (near
+    the even split either may round to 1.0 first), and SourceCountError,
+    before building anything, when M > SOURCE_CAP.
     """
     if m < 1:
         raise ValueError("M must be >= 1")
@@ -176,11 +177,11 @@ def make_load_vector(m: int, total_load: float, target_tui: float) -> LoadVector
         raise InfeasibleTuiError(m, total_load, target, None)
     p = _solve_hot_weight(m, target)
     hot = total_load * p
-    if hot >= 1.0:
+    cold = total_load * (1.0 - p) / (m - 1) if m > 1 else 0.0
+    if max(hot, cold) >= 1.0:
         raise InfeasibleTuiError(m, total_load, target, min_feasible_tui(m, total_load))
     if m == 1:
         return LoadVector((total_load,))
-    cold = total_load * (1.0 - p) / (m - 1)
     return LoadVector((hot,) + (cold,) * (m - 1))
 
 

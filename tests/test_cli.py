@@ -249,6 +249,15 @@ class TestSweepCommand:
             f"sweep,32,16,0.500000000,0.600000000,lcc,{metric},,,infeasible,"
             "min feasible tui 0.775 exclusive" for metric in ("time", "call", "traffic")]
 
+    def test_empty_default_grid_rows_name_the_bound(self, capsys):
+        # The open bound rounds to 1.0, so the default grid has no point.
+        code, out, _ = run_cli(capsys, "sweep", "--m", "2", "--w", "1",
+                               "--load", "1.9999999999999998", "--models", "lcc")
+        assert code == 0
+        assert out.splitlines()[1:] == [
+            f"sweep,2,1,2.00000000,,lcc,{metric},,,infeasible,min feasible tui 1 exclusive"
+            for metric in ("time", "call", "traffic")]
+
     def test_unknown_preset_exits_2_listing_presets(self, capsys):
         code, _, err = run_cli(capsys, "sweep", "--preset", "nope")
         assert code == 2

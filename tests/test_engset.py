@@ -278,29 +278,26 @@ class TestLoadClasses:
         # alone would take 16.8 MB.
         loads = make_load_vector(4096, 460.8, 0.99)
         assert len(set(loads)) == 2
-        tracemalloc.start()
-        try:
-            solver(loads, 512)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert peak < 2_000_000
+        assert traced_peak(solver, loads, 512) < 2_000_000
 
     def test_distinct_memory_is_sqrt_classes(self):
         # M=4096, W=512 all-distinct loads: 4096 classes. A full suffix
         # table of (classes + 1) x (W + 1) floats would take 16.8 MB; about
-        # 2 sqrt(classes) rows are kept. OFL folds degrees above W into
-        # degree W, so its rows are no longer than LCC's; rows of full
-        # degree M would take about 7.5 MB.
+        # 2 sqrt(classes) rows are kept, 0.53 MB. OFL folds degrees above W
+        # into degree W, so its rows are no longer than LCC's; rows of full
+        # degree M would take about 7.5 MB. One numpy array per class would
+        # add about 0.6 MB.
         loads = distinct_loads(4096, 512)
         for solver in (engset_lcc, engset_ofl):
-            tracemalloc.start()
-            try:
-                solver(loads, 512)
-                _, peak = tracemalloc.get_traced_memory()
-            finally:
-                tracemalloc.stop()
-            assert peak < 3_000_000, solver.__name__
+            assert traced_peak(solver, loads, 512) < 1_300_000, solver.__name__
+
+    def test_distinct_memory_has_no_per_class_arrays(self):
+        # M=8192, W=16: the rows are small, so per-class bookkeeping would
+        # set the peak (about 3 MB with one factor array per class). What is
+        # left is per source: the classes, the odds and the results.
+        loads = distinct_loads(8192, 16)
+        for solver in (engset_lcc, engset_ofl):
+            assert traced_peak(solver, loads, 16) < 2_100_000, solver.__name__
 
     # SHA-256 of repr of the BlockingMetrics fields, recorded with the full
     # suffix table: the checkpointed rows must reproduce every bit. The
@@ -318,6 +315,19 @@ class TestLoadClasses:
     ])
     def test_distinct_loads_pinned_at_full_precision(self, m, w, digest):
         fields = dataclasses.astuple(engset_lcc(distinct_loads(m, w), w))
+        assert hashlib.sha256(repr(fields).encode()).hexdigest() == digest
+
+    # The same for engset_ofl, whose walk shares the checkpointed rows and
+    # also reads each class's prefix row for E[(N-W)+].
+    @pytest.mark.parametrize("m, w, digest", [
+        (256, 64, "bf833c8c3591b0f173a7d93ad18b3f2097f74980163b72f74a641581ad426649"),
+        (1000, 200, "c202da125c68d6c1fc6c85c6cdd81514b724747e507a0096d7d52fc0902dd5da"),
+        (3, 2, "eabc754fae4f12302321366c7d8b56d821a6c9730e41a1f1a106393a81802c38"),
+        (12, 12, "00204885106d7f0437c556a145772f3e92c0c3710ec8f2d089eaedede1be5f6f"),
+        (9, 16, "140578ba7496ac6cea199b7528154cb2a3353e6c2ac650a641f5d546ed213ea8"),
+    ])
+    def test_distinct_ofl_pinned_at_full_precision(self, m, w, digest):
+        fields = dataclasses.astuple(engset_ofl(distinct_loads(m, w), w))
         assert hashlib.sha256(repr(fields).encode()).hexdigest() == digest
 
 
@@ -385,6 +395,16 @@ class TestWalkBounds:
         m = engset_ofl([0.999999999] * 3 + [0.9] * 3, 1)
         assert 1.0000000000000002 in seen
         assert max(m.per_source_call) == 1.0
+
+
+def traced_peak(solver, loads, w):
+    """``tracemalloc`` peak of one ``solver(loads, w)`` call, in bytes."""
+    tracemalloc.start()
+    try:
+        solver(loads, w)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 def distinct_loads(m, w):

@@ -113,6 +113,12 @@ class TestMakeLoadVector:
         assert exc.value.min_feasible_tui == pytest.approx(0.775, abs=1e-9)
         assert "0.775" in str(exc.value)
 
+    def test_cold_load_reaching_one_is_infeasible(self):
+        # At the even split the hot load rounds below 1 and the cold one to 1.0.
+        with pytest.raises(InfeasibleTuiError) as exc:
+            make_load_vector(3, 2.9999999999999996, 1.0)
+        assert exc.value.min_feasible_tui == 1.0
+
     def test_no_vector_at_all_when_total_reaches_m(self):
         with pytest.raises(InfeasibleTuiError):
             make_load_vector(2, 2.0, 1.0)
