@@ -19,8 +19,12 @@ commit, the change's commit (HEAD, or null when ``src`` has uncommitted
 edits), a SHA-256 of each side's ``src`` tree as it ran, every run's
 result object (the last line perfbench prints) and its ungated ``wall_s``,
 ``passes`` (a gain in throughput means more passes, and perfbench's
-recorder keeps every latency, so ``peak_rss_mb`` follows the pass count)
-and, where the workload reports it (``sim-crossval``), ``attempts_per_s``;
+recorder keeps every latency, so ``peak_rss_mb`` follows the pass count),
+``setup_import_s`` and ``setup_build_s`` (the slowest import and the
+slowest input build, which ``setup_s`` adds up, so that a move in
+``setup_s`` can be traced to the import or to the references the build
+computes) and, where the workload reports it (``sim-crossval``),
+``attempts_per_s``;
 the host's ``os.cpu_count()`` once, and its ``os.getloadavg()`` taken just
 before each run in that run's record, so that a drift can be read against
 how busy the host was; then per workload, metric and side the median and
@@ -54,6 +58,8 @@ DETAIL = "# detail "
 # each workload whose ``# detail`` line has them.
 UNGATED = [{"name": "wall_s", "unit": "s", "better": "lower"},
            {"name": "passes", "unit": "count", "better": "higher"},
+           {"name": "setup_import_s", "unit": "s", "better": "lower"},
+           {"name": "setup_build_s", "unit": "s", "better": "lower"},
            {"name": "attempts_per_s", "unit": "1/s", "better": "higher"}]
 
 
@@ -90,8 +96,8 @@ def build_side(dest: Path, ref: str | None) -> str:
 
 def run(root: Path, workload: str, seed: int, seconds: float) -> tuple[dict, dict]:
     """One perfbench run: the result object (its last stdout line), and the
-    ungated figures of its ``# detail`` line (the end-to-end ones and the
-    pass count), name -> value."""
+    ungated figures of its ``# detail`` line (the end-to-end ones, the pass
+    count and the slowest import and build samples), name -> value."""
     cmd = [sys.executable, str(root / "perfbench" / "run.py"), "--workload", workload,
            "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"]
     proc = subprocess.run(cmd, cwd=root, capture_output=True, text=True, check=True)
@@ -100,6 +106,8 @@ def run(root: Path, workload: str, seed: int, seconds: float) -> tuple[dict, dic
                   if line.startswith(DETAIL))
     figures = {name: value for name, (value, _) in detail["e2e"].items()}
     figures["passes"] = detail["passes"]
+    figures["setup_import_s"] = max(detail["import_samples_s"])
+    figures["setup_build_s"] = max(detail["build_samples_s"])
     ungated = {m["name"]: figures[m["name"]] for m in UNGATED if m["name"] in figures}
     return json.loads(lines[-1]), ungated
 

@@ -234,11 +234,12 @@ def ctmc_oracle(loads: LoadVector | Sequence[float],
     # source i's offered load, read without the cancellation of the
     # difference when the loss is small. The same balance gives P(i off) =
     # P(i on) / lam_i + P(i off, W busy), free of the cancellation in
-    # 1 - P(i on) for a source that is mostly on. A zero-load source is
-    # always off.
+    # 1 - P(i on) for a source that is mostly on. Where P(i on) is zero or
+    # subnormal (a zero or subnormal load), the division would lose its
+    # bits, and 1 - P(i on) is exactly 1 there, with nothing to cancel.
     off = 1.0 - on_prob
-    offers = lam > 0.0
-    off[offers] = on_prob[offers] / lam[offers] + blocked_off[offers]
+    balance = on_prob >= np.finfo(float).tiny
+    off[balance] = on_prob[balance] / lam[balance] + blocked_off[balance]
     per_call = [_snap01(b / o) if o > 0.0 else 0.0
                 for b, o in zip(blocked_off.tolist(), off.tolist())]
     per_traffic = [_snap01(b) if x > 0.0 else 0.0 for b, x in zip(blocked_off.tolist(), a)]

@@ -28,13 +28,15 @@ once per class, not once per source, on one core:
 - One binomial factor (1 + r_c x)^{n_c} per class. Suffix products and a
   rolling prefix row give each class's leave-one-out polynomial as
   prefix * suffix * (1 + r_c x)^{n_c - 1}, so per-source metrics avoid
-  the cancellation-prone deflation e_k - r_i * e_{k-1}. Only every s-th
-  suffix row is kept, s = isqrt(classes); each block of s classes
-  rebuilds its rows from the kept row on its right by the same products,
-  bit for bit. Cost O(classes * W^2) time and O(sqrt(classes) * W + M)
-  memory: about 2 sqrt(classes) rows, each dropped once read, factors
-  only for the classes with n_c > 1 (OFL's holds the buffer of all n_c + 1
-  terms, and their tail sums), and the per-source results. The paper's
+  the cancellation-prone deflation e_k - r_i * e_{k-1}. Blocks of 1, 2,
+  3, ... classes from the left keep only the suffix rows at their starts
+  (the triangular numbers) and at C; each block rebuilds its rows from
+  the kept row on its right by the same products, bit for bit. Cost
+  O(classes * W^2) time and O(sqrt(classes) * W + M) memory: about
+  sqrt(2 classes) rows, each dropped once read, factors only for the
+  classes with n_c > 1 (OFL's holds the buffer of all n_c + 1 terms, and
+  their tail sums), a few float64 arrays of one entry per class, and the
+  per-source results, which share one float per class. The paper's
   one-hot loads have two classes, all-distinct loads M classes of one
   source each.
 - Every row holds degrees 0..W: for W > M both models return all-zero
@@ -77,7 +79,7 @@ from typing import Callable, Iterable, Iterator, Sequence
 import numpy as np
 
 from .errors import ZeroTrafficError
-from .traffic import LoadVector, arrival_intensities, as_load_vector
+from .traffic import LoadVector, as_load_vector
 
 _RESCALE_THRESHOLD = 1e150
 _SNAP = 1e-9
@@ -105,25 +107,26 @@ class BlockingMetrics:
 class _LoadClasses:
     """Sources grouped by load: distinct loads in order of first appearance."""
 
-    loads: tuple[float, ...]
-    counts: tuple[int, ...]
-    members: tuple[int, ...]  # class index of every source
+    loads: np.ndarray    # float64, one per class
+    counts: np.ndarray   # intp, sources per class
+    members: np.ndarray  # intp, class index of every source
 
     @classmethod
     def of(cls, loads: Sequence[float]) -> "_LoadClasses":
         index: dict[float, int] = {}
-        members = tuple(index.setdefault(x, len(index)) for x in loads)
-        counts = [0] * len(index)
-        for c in members:
-            counts[c] += 1
-        return cls(tuple(index), tuple(counts), members)
+        members = np.fromiter((index.setdefault(x, len(index)) for x in loads), np.intp,
+                              len(loads))
+        return cls(np.fromiter(index, float, len(index)), np.bincount(members), members)
 
-    def per_source(self, per_class: Sequence[float]) -> tuple[float, ...]:
-        return tuple(per_class[c] for c in self.members)
+    def per_source(self, per_class: np.ndarray) -> tuple[float, ...]:
+        """Per-class values by source; the sources of a class share its float."""
+        return tuple(map(per_class.tolist().__getitem__, self.members.data))
 
     def total(self, per_class: Iterable[float]) -> float:
-        """Sum over sources of a per-class value."""
-        return math.fsum(n * x for n, x in zip(self.counts, per_class))
+        """Sum over sources of a per-class value. The solvers pass products
+        over memoryviews (``.data``): numpy products would load ufunc loops
+        that a small call runs nowhere else, about 150 KB of RSS."""
+        return math.fsum(n * x for n, x in zip(self.counts.data, per_class))
 
 
 def _snap01(x: float) -> float:
@@ -193,20 +196,17 @@ def _times(row: np.ndarray, factor: np.ndarray, fold: bool) -> np.ndarray:
 
 
 def _suffix_rows(factor: Callable[[int], np.ndarray], stop: int, row: np.ndarray, fold: bool,
-                 start: int = 0, every: int = 1) -> dict[int, np.ndarray]:
-    """Suffix rows ``stop`` (given as ``row``) down to ``start``, keeping row
-    ``stop`` and every row c with c % every == 0.
+                 start: int) -> Iterator[tuple[int, np.ndarray]]:
+    """Suffix rows c = ``stop`` (given as ``row``) down to ``start``, as (c, row).
 
     Row c is the product of the class factors ``factor(c)``.. (row 0 is
     e_k(r)); the same rows always come from the same products, so a row
     rebuilt from a kept one is bit for bit the row it replaces.
     """
-    rows = {stop: row}
+    yield stop, row
     for c in range(stop - 1, start - 1, -1):
         row = _times(row, factor(c), fold)
-        if c % every == 0:
-            rows[c] = row
-    return rows
+        yield c, row
 
 
 def _leave_one_out(factors: dict[int, np.ndarray], counts: Sequence[int], r: Sequence[float],
@@ -215,35 +215,42 @@ def _leave_one_out(factors: dict[int, np.ndarray], counts: Sequence[int], r: Seq
     factors (1 + r_c x)^{n_c}, and each class's leave-one-out pair.
 
     ``factors`` holds the factors of the classes with n_c > 1, by class; a
-    one-source class's factor [1, r_c] is a row of one (classes, 2) array.
+    one-source class's [1, r_c] goes into one reused 2-double buffer.
     Every row holds degrees 0..W, W <= M: each product is cut at degree W.
     Class c's pair (prefix, rest) multiplies to the generating polynomial of
     the other sources when one source of class c is left out: prefix is the
     product of the factors before c, rest the product of those after c
-    times (1 + r_c x)^{n_c - 1}. Checkpoints 0, s, 2s, ... and C are kept,
-    s = isqrt(classes); each block of s classes rebuilds its own suffix rows
-    from the checkpoint on its right. The pairs are made lazily, and every
-    row is dropped once read, so at most about 2 s rows of W + 1 are alive.
+    times (1 + r_c x)^{n_c - 1}. Block j holds classes T_j .. T_{j+1} - 1,
+    T_j = j (j + 1) / 2; checkpoints are the suffix rows at each T_j and
+    at C, and block j rebuilds its j + 1 rows from the checkpoint on its
+    right. The pairs are made lazily, and every row is dropped once read,
+    so at most about sqrt(2 C) + 2 rows of W + 1 are alive.
     """
-    two = np.column_stack((np.ones(len(r)), r))
+    classes = len(r)
+    # The block starts: the triangular numbers below C.
+    starts = list(itertools.takewhile(classes.__gt__, itertools.accumulate(range(classes))))
+    two = np.ones(2)
 
     def factor(c: int) -> np.ndarray:
-        return factors[c] if c in factors else two[c]
+        if c not in factors:
+            two[1] = r[c]
+        return factors.get(c, two)
 
-    step = max(1, math.isqrt(len(r)))
     one = np.zeros(w + 1)
     one[0] = 1.0
-    checkpoints = _suffix_rows(factor, len(r), one, fold, every=step)
+    kept = {*starts, classes}
+    checkpoints = {c: row for c, row in _suffix_rows(factor, classes, one, fold, 0) if c in kept}
 
     def pairs() -> Iterator[tuple[np.ndarray, np.ndarray]]:
         prefix = one
-        for c, (n, rc) in enumerate(zip(counts, r)):
-            if c % step == 0:
-                end = min(c + step, len(r))
-                suffix = _suffix_rows(factor, end, checkpoints.pop(end), fold, start=c + 1)
-            yield prefix, _times(suffix.pop(c + 1), _binomial_factor(n - 1, rc, w, fold), fold)
-            if c + 1 < len(r):
-                prefix = _times(prefix, factor(c), fold)
+        for j, start in enumerate(starts):
+            end = min(start + j + 1, classes)
+            suffix = dict(_suffix_rows(factor, end, checkpoints.pop(end), fold, start + 1))
+            for c in range(start, end):
+                rest = _binomial_factor(counts[c] - 1, r[c], w, fold)
+                yield prefix, _times(suffix.pop(c + 1), rest, fold)
+                if c + 1 < classes:
+                    prefix = _times(prefix, factor(c), fold)
 
     return float(checkpoints[0][w]) / _nonzero(float(checkpoints.pop(0).sum())), pairs()
 
@@ -262,13 +269,13 @@ def _lcc_metrics(classes: _LoadClasses, w: int) -> BlockingMetrics:
     """Lost-calls-cleared metrics, one leave-one-out per load class."""
     if w > len(classes.members):
         return _unblocked(len(classes.members))
-    r = arrival_intensities(classes.loads)
+    r = classes.loads / (1.0 - classes.loads)  # the odds, as arrival_intensities rounds them
     factors = {c: _binomial_factor(n, rc, w, fold=False)
-               for c, (n, rc) in enumerate(zip(classes.counts, r)) if n > 1}
-    time_c, pairs = _leave_one_out(factors, classes.counts, r, w, fold=False)
+               for c, (n, rc) in enumerate(zip(classes.counts.data, r.data)) if n > 1}
+    time_c, pairs = _leave_one_out(factors, classes.counts.data, r.data, w, fold=False)
 
-    per_call, per_traffic, attempt_weights = [], [], np.empty(len(r))
-    for c, ((prefix, rest), a, rc) in enumerate(zip(pairs, classes.loads, r)):
+    per_call, per_traffic, attempt_weights = np.empty(len(r)), np.empty(len(r)), np.empty(len(r))
+    for c, ((prefix, rest), a, rc) in enumerate(zip(pairs, classes.loads.data, r.data)):
         # Only three sums of the coefficients of prefix * rest are needed,
         # each a dot product of prefix with rest or its running sums. The
         # common unknown scale cancels below.
@@ -277,14 +284,14 @@ def _lcc_metrics(classes: _LoadClasses, w: int) -> BlockingMetrics:
         hi = float(prefix[:w] @ partial[w - 1::-1])    # degrees 0..W-1
         eiw = float(prefix @ rest[::-1])               # degree W
         ratio = rc * hi / gi  # P(i on) / P(i off)
-        per_call.append(_snap01(eiw / gi))
+        per_call[c] = _snap01(eiw / gi)
         attempt_weights[c] = rc / (1.0 + ratio)  # lam_i P(i off)
-        per_traffic.append(eiw / (gi + rc * hi) if a > 0.0 else 0.0)
+        per_traffic[c] = eiw / (gi + rc * hi) if a > 0.0 else 0.0
 
-    call_c = (classes.total(wgt * b for wgt, b in zip(attempt_weights, per_call))
-              / classes.total(attempt_weights))
-    traffic_c = (classes.total(a * t for a, t in zip(classes.loads, per_traffic))
-                 / classes.total(classes.loads))
+    call_c = (classes.total(wgt * b for wgt, b in zip(attempt_weights.data, per_call.data))
+              / classes.total(attempt_weights.data))
+    traffic_c = (classes.total(a * t for a, t in zip(classes.loads.data, per_traffic.data))
+                 / classes.total(classes.loads.data))
     return BlockingMetrics(
         time_congestion=_snap01(time_c),
         call_congestion=_snap01(call_c),
@@ -339,25 +346,26 @@ def engset_ofl(loads: LoadVector | Sequence[float], w: int) -> BlockingMetrics:
     if w > len(a):
         return _unblocked(len(a))
     classes = _LoadClasses.of(a)
-    r = arrival_intensities(classes.loads)
+    r = classes.loads / (1.0 - classes.loads)  # the odds, as arrival_intensities rounds them
     # A class with n_c > 1 has terms C(n_c, k) r_c^k, k = 0..n_c, that give its
     # factor and its tail sums own[j] for P(X_c >= j), each scaled by its
     # law's total. The tails are read before _cut folds degree W in place.
     factors, tails = {}, {}
-    for c, (n, rc) in enumerate(zip(classes.counts, r)):
+    for c, (n, rc) in enumerate(zip(classes.counts.data, r.data)):
         if n > 1:
             terms = _binomial_factor(n, rc, n, fold=False)
             tails[c] = np.cumsum(terms[::-1])[::-1]
             factors[c] = _cut(terms, w, fold=True)
-    time_c, pairs = _leave_one_out(factors, classes.counts, r, w, fold=True)
+    time_c, pairs = _leave_one_out(factors, classes.counts.data, r.data, w, fold=True)
 
-    per_call, excess = [], np.empty(len(r))
-    for c, ((prefix, rest), n, x) in enumerate(zip(pairs, classes.counts, classes.loads)):
+    per_call, excess = np.empty(len(r)), np.empty(len(r))
+    for c, ((prefix, rest), n, x) in enumerate(zip(pairs, classes.counts.data,
+                                                   classes.loads.data)):
         # P(N without i >= W) is the top coefficient of prefix * rest over
         # its sum.
         total = float(prefix.sum())
-        per_call.append(_snap01(float(prefix @ np.cumsum(rest[::-1]))
-                                / (total * float(rest.sum()))))
+        per_call[c] = _snap01(float(prefix @ np.cumsum(rest[::-1]))
+                              / (total * float(rest.sum())))
         if n == 1:
             excess[c] = x * float(prefix[w]) / total
             continue
@@ -368,7 +376,7 @@ def engset_ofl(loads: LoadVector | Sequence[float], w: int) -> BlockingMetrics:
         excess[c] = (float(own[1:j + 1] @ before[w:w - j:-1]) / float(before[0])
                      + float(own[w + 1:].sum())) / float(own[0])
 
-    call_c = classes.total(x * b for x, b in zip(classes.loads, per_call)) / offered
+    call_c = classes.total(x * b for x, b in zip(classes.loads.data, per_call.data)) / offered
     traffic_c = math.fsum(excess) / offered  # E[(N-W)+] / E[N]
     per_source = classes.per_source(per_call)
     return BlockingMetrics(
@@ -390,4 +398,4 @@ def engset_classical(s: int, per_source_load: float, w: int) -> BlockingMetrics:
     if s < 1:
         raise ValueError("S must be >= 1")
     a, _ = _validated((per_source_load,), w)
-    return _lcc_metrics(_LoadClasses(a, (s,), (0,) * s), w)
+    return _lcc_metrics(_LoadClasses(np.array(a), np.array([s]), np.zeros(s, np.intp)), w)

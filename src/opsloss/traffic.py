@@ -179,7 +179,8 @@ def make_load_vector(m: int, total_load: float, target_tui: float) -> LoadVector
     hot = total_load * p
     cold = total_load * (1.0 - p) / (m - 1) if m > 1 else 0.0
     if max(hot, cold) >= 1.0:
-        raise InfeasibleTuiError(m, total_load, target, min_feasible_tui(m, total_load))
+        raise InfeasibleTuiError(m, total_load, target, min_feasible_tui(m, total_load),
+                                 cold=hot < 1.0)
     if m == 1:
         return LoadVector((total_load,))
     return LoadVector((hot,) + (cold,) * (m - 1))

@@ -189,6 +189,23 @@ def test_matches_product_form_on_random_instances():
         assert fast.per_source_traffic == pytest.approx(slow.per_source_traffic, abs=1e-10)
 
 
+@pytest.mark.parametrize("loads, w", [
+    ([0.5, 5e-324], 1),
+    ([0.5, 1e-310], 1),
+    ([0.3, 0.2, 1e-315], 2),
+    ([0.3, 0.2, 1e-315], 1),
+])
+def test_subnormal_loads_match_product_form(loads, w):
+    # A subnormal load has a subnormal P(i on), which P(i off) must not be
+    # formed by dividing. Subnormals carry fewer bits, so values below the
+    # smallest normal float are compared absolutely.
+    fast = dataclasses.astuple(engset_lcc(loads, w))
+    _, slow = ctmc_oracle(loads, w)
+    tiny = np.finfo(float).tiny
+    for got, want in zip(fast, dataclasses.astuple(slow)):
+        assert got == pytest.approx(want, rel=1e-12, abs=tiny)
+
+
 def test_balance_residual_small_on_larger_instance():
     rng = random.Random(7)
     loads = [rng.uniform(0.05, 0.9) for _ in range(9)]

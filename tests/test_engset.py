@@ -8,8 +8,9 @@ import random
 import tracemalloc
 
 import mpmath
+import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from opsloss import (BlockingMetrics, ZeroTrafficError, ctmc_oracle, engset_classical,
@@ -250,6 +251,7 @@ class TestLoadClasses:
     """Sources are grouped by load; repeated loads take the same code path."""
 
     @given(pooled_loads_strategy, st.integers(1, 10))
+    @example(loads=[0.5, 5e-324], w=1)  # a subnormal P(i on) in the oracle
     @settings(max_examples=60, deadline=None)
     def test_repeated_loads_match_oracle_and_enumeration(self, loads, w):
         lcc = engset_lcc(loads, w)
@@ -283,21 +285,68 @@ class TestLoadClasses:
     def test_distinct_memory_is_sqrt_classes(self):
         # M=4096, W=512 all-distinct loads: 4096 classes. A full suffix
         # table of (classes + 1) x (W + 1) floats would take 16.8 MB; about
-        # 2 sqrt(classes) rows are kept, 0.53 MB. OFL folds degrees above W
-        # into degree W, so its rows are no longer than LCC's; rows of full
-        # degree M would take about 7.5 MB. One numpy array per class would
-        # add about 0.6 MB.
+        # sqrt(2 classes) rows are kept, 92 here, 0.38 MB (2 sqrt(classes)
+        # would be 128). OFL folds degrees above W into degree W, so its
+        # rows are no longer than LCC's; rows of full degree M would take
+        # about 7.5 MB. One numpy array per class would add about 0.6 MB,
+        # and one Python float per class inside the walk about 0.13 MB.
         loads = distinct_loads(4096, 512)
         for solver in (engset_lcc, engset_ofl):
-            assert traced_peak(solver, loads, 512) < 1_300_000, solver.__name__
+            assert traced_peak(solver, loads, 512) < 900_000, solver.__name__
 
     def test_distinct_memory_has_no_per_class_arrays(self):
         # M=8192, W=16: the rows are small, so per-class bookkeeping would
         # set the peak (about 3 MB with one factor array per class). What is
-        # left is per source: the classes, the odds and the results.
+        # left is a few float64 arrays of one entry per class, the grouping,
+        # and the results: one float per class, and per source a reference.
+        # LCC expands two per-source tuples, OFL one.
         loads = distinct_loads(8192, 16)
-        for solver in (engset_lcc, engset_ofl):
-            assert traced_peak(solver, loads, 16) < 2_100_000, solver.__name__
+        for solver, bound in ((engset_lcc, 1_300_000), (engset_ofl, 1_000_000)):
+            assert traced_peak(solver, loads, 16) < bound, solver.__name__
+
+    @pytest.mark.parametrize("solver, bound", [(engset_lcc, 6_500_000),
+                                               (engset_ofl, 8_600_000)])
+    def test_one_hot_results_share_one_float_per_class(self, solver, bound):
+        # M=2^18, W=64 one-hot loads: two classes. Each per-source tuple
+        # holds 2^18 references to its class's float, 2.1 MB; one float per
+        # source would add 6.3 MB per tuple. OFL also holds the large
+        # class's 2^18 terms and their tail sums.
+        loads = make_load_vector(2 ** 18, 32.0, 0.5)
+        assert len(set(loads)) == 2
+        assert traced_peak(solver, loads, 64) <= bound
+
+    @pytest.mark.parametrize("classes", [1, 2, 3, 5, 6, 7, 10, 11, 45, 46])
+    @pytest.mark.parametrize("fold", [False, True])
+    def test_checkpointed_pairs_match_a_full_suffix_table(self, classes, fold):
+        # Block boundaries (the triangular numbers 1, 3, 6, 10, 45) +-1. The
+        # walk's pairs must be bit for bit those of every suffix row kept.
+        rng = random.Random(classes)
+        counts = [rng.choice([1, 1, 3]) for _ in range(classes)]
+        r = [rng.uniform(0.01, 2.0) for _ in range(classes)]
+        w = max(1, sum(counts) // 2)
+        factors = {c: engset._binomial_factor(n, rc, w, fold)
+                   for c, (n, rc) in enumerate(zip(counts, r)) if n > 1}
+
+        def factor(c):
+            return factors[c] if c in factors else np.array([1.0, r[c]])
+
+        suffix = [np.zeros(w + 1)]
+        suffix[0][0] = 1.0
+        for c in reversed(range(classes)):
+            suffix.insert(0, engset._times(suffix[0], factor(c), fold))
+        prefix = suffix[-1]
+        want = []
+        for c in range(classes):
+            rest = engset._binomial_factor(counts[c] - 1, r[c], w, fold)
+            want.append((prefix, engset._times(suffix[c + 1], rest, fold)))
+            prefix = engset._times(prefix, factor(c), fold)
+
+        time_c, pairs = engset._leave_one_out(factors, counts, r, w, fold)
+        assert time_c == float(suffix[0][w]) / float(suffix[0].sum())
+        got = list(pairs)
+        assert len(got) == classes
+        for (p, q), (wp, wq) in zip(got, want):
+            assert p.tobytes() == wp.tobytes() and q.tobytes() == wq.tobytes()
 
     # SHA-256 of repr of the BlockingMetrics fields, recorded with the full
     # suffix table: the checkpointed rows must reproduce every bit. The

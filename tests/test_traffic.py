@@ -118,6 +118,8 @@ class TestMakeLoadVector:
         with pytest.raises(InfeasibleTuiError) as exc:
             make_load_vector(3, 2.9999999999999996, 1.0)
         assert exc.value.min_feasible_tui == 1.0
+        assert "cold-source load 3 * (1 - p) / 2 would reach 1" in str(exc.value)
+        assert "hot-source" not in str(exc.value)
 
     def test_no_vector_at_all_when_total_reaches_m(self):
         with pytest.raises(InfeasibleTuiError):
