@@ -303,8 +303,8 @@ def _replicate(spec: SimSpec, replication: int) -> ReplicationStats:
         per_source_attempts=tuple(attempts),
         per_source_offered=tuple(offered),
         per_source_carried=tuple(carried),
-        per_source_call=tuple(blocked[i] / attempts[i] if attempts[i] else 0.0
-                              for i in range(m)),
+        per_source_call=tuple([blocked[i] / attempts[i] if attempts[i] else 0.0
+                               for i in range(m)]),
         per_source_traffic=tuple(per_traffic),
     )
 
@@ -324,7 +324,11 @@ def simulate(spec: SimSpec) -> SimResult:
     Replications are independent given their index, so they could run
     concurrently; they are merged in index order either way.
     """
-    reps = tuple(_replicate(spec, k) for k in range(spec.replications))
+    # The tuples a call builds, here and in traffic.py, come from lists or
+    # are kept as given, never from generators: tuple(<generator>) cannot
+    # size itself, so CPython never takes it from the free list of its size,
+    # yet frees it onto that list, and those lists grow with every call.
+    reps = tuple([_replicate(spec, k) for k in range(spec.replications)])
     m = len(spec.loads)
     return SimResult(
         spec=spec,
@@ -333,7 +337,7 @@ def simulate(spec: SimSpec) -> SimResult:
         call_congestion=_estimate([r.call_congestion for r in reps]),
         traffic_congestion=_estimate([r.traffic_congestion for r in reps]),
         per_source_call=tuple(
-            _estimate([r.per_source_call[i] for r in reps]) for i in range(m)),
+            [_estimate([r.per_source_call[i] for r in reps]) for i in range(m)]),
         per_source_traffic=tuple(
-            _estimate([r.per_source_traffic[i] for r in reps]) for i in range(m)),
+            [_estimate([r.per_source_traffic[i] for r in reps]) for i in range(m)]),
     )

@@ -27,9 +27,10 @@ from .errors import InfeasibleTuiError, SourceCountError, ZeroTrafficError
 # Bisection stops when the uniformity index is matched this closely.
 TUI_TOLERANCE = 1e-10
 _MAX_BISECTION_STEPS = 200
-# Most sources make_load_vector builds. Synthesis itself peaks at about
-# 17 bytes per source, but `opsloss tui` prints every load and grows by
-# about 60 bytes of max RSS per source, so at the cap it needs about 1 GB.
+# Most sources make_load_vector builds. Synthesis itself peaks at 16 bytes
+# per source (the run of cold loads and the vector, which LoadVector keeps
+# without a copy), but `opsloss tui` prints every load and grows by about
+# 52 bytes of max RSS per source, so at the cap it needs about 0.9 GB.
 SOURCE_CAP = 2 ** 24
 
 
@@ -40,7 +41,9 @@ class LoadVector:
     loads: tuple[float, ...]
 
     def __post_init__(self):
-        loads = tuple(float(a) for a in self.loads)
+        loads = self.loads
+        if type(loads) is not tuple or not all(type(a) is float for a in loads):
+            loads = tuple(float(a) for a in loads)
         if len(loads) < 1:
             raise ValueError("a load vector needs at least one channel")
         for a in loads:
@@ -147,7 +150,7 @@ def default_tui_grid(m: int, total_load: float) -> tuple[float, ...]:
     bound = min_feasible_tui(m, total_load)
     if total_load < 1.0:
         return (bound, *(t for t in _TUI_STEPS if t > bound))
-    return tuple(t for t in _TUI_STEPS if t > (bound if t == 1.0 else bound + TUI_TOLERANCE))
+    return tuple([t for t in _TUI_STEPS if t > (bound if t == 1.0 else bound + TUI_TOLERANCE)])
 
 
 def make_load_vector(m: int, total_load: float, target_tui: float) -> LoadVector:
@@ -190,4 +193,4 @@ def arrival_intensities(loads: LoadVector | Sequence[float]) -> tuple[float, ...
     """Per-source attempt intensities lam_i = A_i / (1 - A_i) at unit
     departure rate, which are also the odds r_i of the product form."""
     a = as_load_vector(loads).loads
-    return tuple(x / (1.0 - x) for x in a)
+    return tuple([x / (1.0 - x) for x in a])

@@ -1,6 +1,8 @@
 """Simulator behaviour: determinism, estimator convergence, confidence limits."""
 
+import gc
 import math
+import platform
 import time
 import tracemalloc
 
@@ -9,7 +11,7 @@ import pytest
 
 from opsloss import (SIM_SOURCE_CAP, EstimationError, LoadVector, SimSpec, SourceCountError,
                      confidence_interval, engset_lcc, engset_ofl, make_load_vector, simulate)
-from opsloss.sim import _T975
+from opsloss.sim import MODES, _T975
 
 REF_SPEC = dict(horizon=2e4, warmup=2e3, replications=10, base_seed=101)
 
@@ -226,3 +228,26 @@ class TestRecordsAndErrors:
         res = simulate(SimSpec(loads=LoadVector((0.4,)), w=1, mode="cleared",
                                horizon=1e3, warmup=1e2, replications=1, base_seed=4))
         assert res.traffic_congestion.half_width is None
+
+    @pytest.mark.skipif(platform.python_implementation() != "CPython",
+                        reason="CPython's free lists of small tuples")
+    def test_repeated_calls_keep_no_memory(self):
+        # A tuple built from a generator is never taken from the free list of
+        # its size, yet is freed onto it, so that list grows with every call.
+        def cell(seed):
+            loads = make_load_vector(8, 0.5, 0.6)
+            simulate(SimSpec(loads=loads, w=2, mode=MODES[seed % 2], horizon=200.0,
+                             replications=20, base_seed=seed))
+
+        cell(0)
+        gc.disable()  # a full collection clears the free lists and hides the growth
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            for seed in range(1, 41):
+                cell(seed)
+            grown = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+            gc.enable()
+        assert grown < 64 * 1024
