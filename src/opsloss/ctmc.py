@@ -50,7 +50,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .engset import BlockingMetrics, _snap01, _validated
+from .engset import BlockingMetrics, _metrics, _snap01, _validated
 from .errors import StateSpaceError
 from .traffic import LoadVector, arrival_intensities
 
@@ -246,13 +246,7 @@ def ctmc_oracle(loads: LoadVector | Sequence[float],
     call_c = math.fsum(lam * blocked_off) / math.fsum(lam * off)
     traffic_c = math.fsum(np.array(a) * blocked_off) / offered
 
-    metrics = BlockingMetrics(
-        time_congestion=_snap01(time_c),
-        call_congestion=_snap01(call_c),
-        traffic_congestion=_snap01(traffic_c),
-        per_source_call=tuple(per_call),
-        per_source_traffic=tuple(per_traffic),
-    )
+    metrics = _metrics(time_c, call_c, traffic_c, tuple(per_call), tuple(per_traffic))
     solution = CtmcSolution(
         states=tuple(tuple(s) for level in levels for s in level.tolist()),
         stationary=tuple(float(p) for level in pis for p in level),

@@ -28,10 +28,11 @@ once per class, not once per source, on one core:
 - One binomial factor (1 + r_c x)^{n_c} per class. Suffix products and a
   rolling prefix row give each class's leave-one-out polynomial as
   prefix * suffix * (1 + r_c x)^{n_c - 1}, so per-source metrics avoid
-  the cancellation-prone deflation e_k - r_i * e_{k-1}. Blocks of 1, 2,
-  3, ... classes from the left keep only the suffix rows at their starts
-  (the triangular numbers) and at C; each block rebuilds its rows from
-  the kept row on its right by the same products, bit for bit. Cost
+  the cancellation-prone deflation e_k - r_i * e_{k-1}; for a one-source
+  class it is prefix * suffix, the suffix row taken as it is. Blocks of
+  1, 2, 3, ... classes from the left keep only the suffix rows at their
+  starts (the triangular numbers) and at C; each block rebuilds its rows
+  from the kept row on its right by the same products, bit for bit. Cost
   O(classes * W^2) time and O(sqrt(classes) * W + M) memory: about
   sqrt(2 classes) rows, each dropped once read, factors only for the
   classes with n_c > 1 (OFL's holds the buffer of all n_c + 1 terms, and
@@ -136,9 +137,18 @@ def _snap01(x: float) -> float:
     return 1.0 if 1.0 < x < 1.0 + _SNAP else x
 
 
+def _metrics(time_c: float, call_c: float, traffic_c: float, per_call: tuple[float, ...],
+             per_traffic: tuple[float, ...]) -> BlockingMetrics:
+    """The result of one solve: the three aggregates clamped by ``_snap01``,
+    the per-source tuples as given."""
+    return BlockingMetrics(_snap01(time_c), _snap01(call_c), _snap01(traffic_c), per_call,
+                           per_traffic)
+
+
 def _unblocked(m: int) -> BlockingMetrics:
     """The metrics of M < W sources: every one always finds a free channel."""
-    return BlockingMetrics(0.0, 0.0, 0.0, (0.0,) * m, (0.0,) * m)
+    zero = (0.0,) * m
+    return _metrics(0.0, 0.0, 0.0, zero, zero)
 
 
 def _nonzero(total: float) -> float:
@@ -184,14 +194,7 @@ def _binomial_factor(n: int, r: float, kmax: int, fold: bool) -> np.ndarray:
 
 
 def _times(row: np.ndarray, factor: np.ndarray, fold: bool) -> np.ndarray:
-    """Polynomial product, cut at the top degree of ``row``.
-
-    A one-term factor is the empty product [1.0] (a one-source class left
-    out), so ``row`` itself is returned: no row is written in place once
-    made.
-    """
-    if len(factor) == 1:
-        return row
+    """Polynomial product, cut at the top degree of ``row``, as a new row."""
     return _rescaled(_cut(np.convolve(row, factor), len(row) - 1, fold))
 
 
@@ -220,7 +223,8 @@ def _leave_one_out(factors: dict[int, np.ndarray], counts: Sequence[int], r: Seq
     Class c's pair (prefix, rest) multiplies to the generating polynomial of
     the other sources when one source of class c is left out: prefix is the
     product of the factors before c, rest the product of those after c
-    times (1 + r_c x)^{n_c - 1}. Block j holds classes T_j .. T_{j+1} - 1,
+    times (1 + r_c x)^{n_c - 1}, so for a one-source class rest is the
+    suffix row after c itself. Block j holds classes T_j .. T_{j+1} - 1,
     T_j = j (j + 1) / 2; checkpoints are the suffix rows at each T_j and
     at C, and block j rebuilds its j + 1 rows from the checkpoint on its
     right. The pairs are made lazily, and every row is dropped once read,
@@ -247,8 +251,10 @@ def _leave_one_out(factors: dict[int, np.ndarray], counts: Sequence[int], r: Seq
             end = min(start + j + 1, classes)
             suffix = dict(_suffix_rows(factor, end, checkpoints.pop(end), fold, start + 1))
             for c in range(start, end):
-                rest = _binomial_factor(counts[c] - 1, r[c], w, fold)
-                yield prefix, _times(suffix.pop(c + 1), rest, fold)
+                rest = suffix.pop(c + 1)
+                if counts[c] > 1:
+                    rest = _times(rest, _binomial_factor(counts[c] - 1, r[c], w, fold), fold)
+                yield prefix, rest
                 if c + 1 < classes:
                     prefix = _times(prefix, factor(c), fold)
 
@@ -292,13 +298,8 @@ def _lcc_metrics(classes: _LoadClasses, w: int) -> BlockingMetrics:
               / classes.total(attempt_weights.data))
     traffic_c = (classes.total(a * t for a, t in zip(classes.loads.data, per_traffic.data))
                  / classes.total(classes.loads.data))
-    return BlockingMetrics(
-        time_congestion=_snap01(time_c),
-        call_congestion=_snap01(call_c),
-        traffic_congestion=_snap01(traffic_c),
-        per_source_call=classes.per_source(per_call),
-        per_source_traffic=classes.per_source(per_traffic),
-    )
+    return _metrics(time_c, call_c, traffic_c, classes.per_source(per_call),
+                    classes.per_source(per_traffic))
 
 
 def engset_lcc(loads: LoadVector | Sequence[float], w: int) -> BlockingMetrics:
@@ -379,13 +380,7 @@ def engset_ofl(loads: LoadVector | Sequence[float], w: int) -> BlockingMetrics:
     call_c = classes.total(x * b for x, b in zip(classes.loads.data, per_call.data)) / offered
     traffic_c = math.fsum(excess) / offered  # E[(N-W)+] / E[N]
     per_source = classes.per_source(per_call)
-    return BlockingMetrics(
-        time_congestion=_snap01(time_c),
-        call_congestion=_snap01(call_c),
-        traffic_congestion=_snap01(traffic_c),
-        per_source_call=per_source,
-        per_source_traffic=per_source,
-    )
+    return _metrics(time_c, call_c, traffic_c, per_source, per_source)
 
 
 def engset_classical(s: int, per_source_load: float, w: int) -> BlockingMetrics:

@@ -47,7 +47,7 @@ class LoadVector:
         if len(loads) < 1:
             raise ValueError("a load vector needs at least one channel")
         for a in loads:
-            if not math.isfinite(a) or a < 0.0 or a >= 1.0:
+            if not 0.0 <= a < 1.0:
                 raise ValueError(f"load {a!r} outside [0, 1)")
         object.__setattr__(self, "loads", loads)
 
@@ -184,8 +184,6 @@ def make_load_vector(m: int, total_load: float, target_tui: float) -> LoadVector
     if max(hot, cold) >= 1.0:
         raise InfeasibleTuiError(m, total_load, target, min_feasible_tui(m, total_load),
                                  cold=hot < 1.0)
-    if m == 1:
-        return LoadVector((total_load,))
     return LoadVector((hot,) + (cold,) * (m - 1))
 
 

@@ -315,6 +315,18 @@ class TestLoadClasses:
         assert len(set(loads)) == 2
         assert traced_peak(solver, loads, 64) <= bound
 
+    @pytest.mark.parametrize("solver", [engset_lcc, engset_ofl])
+    def test_one_source_classes_build_no_factor(self, solver, monkeypatch):
+        # A one-source class's leave-one-out is its suffix row: no empty
+        # factor (1 + r_c x)^0 is built, so all-distinct loads build none.
+        build, sizes = engset._binomial_factor, []
+        monkeypatch.setattr(engset, "_binomial_factor",
+                            lambda n, *args, **kw: sizes.append(n) or build(n, *args, **kw))
+        solver(distinct_loads(64, 16), 16)
+        assert sizes == []
+        solver([0.3, 0.3, 0.1, 0.2, 0.2, 0.2], 2)
+        assert 0 not in sizes and sizes
+
     @pytest.mark.parametrize("classes", [1, 2, 3, 5, 6, 7, 10, 11, 45, 46])
     @pytest.mark.parametrize("fold", [False, True])
     def test_checkpointed_pairs_match_a_full_suffix_table(self, classes, fold):
@@ -379,6 +391,18 @@ class TestLoadClasses:
         fields = dataclasses.astuple(engset_ofl(distinct_loads(m, w), w))
         assert hashlib.sha256(repr(fields).encode()).hexdigest() == digest
 
+    def test_pooled_and_one_hot_loads_pinned_at_full_precision(self):
+        # Both models on 300 seeded inputs the distinct-load pins miss:
+        # pooled loads with zeros, and one-hot loads with the hot source at
+        # the front or anywhere, at W = 1, M/4, M and M + 1.
+        fields = [dataclasses.astuple(solver(loads, w))
+                  for loads in pooled_and_one_hot_loads()
+                  for w in (1, max(1, len(loads) // 4), len(loads), len(loads) + 1)
+                  for solver in (engset_lcc, engset_ofl)]
+        assert len(fields) == 600
+        digest = "80b6bd250930f85ccc50267a5513026a0fb0a18d9dbd95090adcc8934df6c37a"
+        assert hashlib.sha256(repr(fields).encode()).hexdigest() == digest
+
 
 # Odds about 1e10 apart or more: each class factor is scaled to its own
 # peak, so every degree <= W of their product underflows to zero. The
@@ -395,9 +419,10 @@ class TestWalkBounds:
     @pytest.mark.parametrize("w", [5, 6, 9])
     def test_w_above_m_is_one_all_zero_result(self, w):
         zero = BlockingMetrics(0.0, 0.0, 0.0, (0.0,) * 4, (0.0,) * 4)
-        assert engset_lcc([0.4, 0.9, 0.0, 0.4], w) == zero
-        assert engset_ofl([0.4, 0.9, 0.0, 0.4], w) == zero
-        assert engset_classical(4, 0.4, w) == zero
+        for metrics in (engset_lcc([0.4, 0.9, 0.0, 0.4], w),
+                        engset_ofl([0.4, 0.9, 0.0, 0.4], w), engset_classical(4, 0.4, w)):
+            assert metrics == zero
+            assert metrics.per_source_call is metrics.per_source_traffic  # one zero tuple
 
     @pytest.mark.parametrize("loads, w", [
         *((NEAR_ONE, w) for w in (39, 40, 41, 42)),
@@ -454,6 +479,20 @@ def traced_peak(solver, loads, w):
         return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+
+
+def pooled_and_one_hot_loads():
+    """75 seeded load vectors: 40 drawn from a pool of zero and one to three
+    loads, 35 one-hot (one hot source, M - 1 equal cold ones, some zero)."""
+    rng = random.Random(30)
+    for _ in range(40):
+        pool = [0.0] + [rng.uniform(0.01, 0.95) for _ in range(rng.randint(1, 3))]
+        yield [pool[1]] + [rng.choice(pool) for _ in range(rng.randint(1, 63))]
+    for k in range(35):
+        m = rng.randint(2, 512)
+        loads = [rng.choice([0.0, rng.uniform(1e-6, 0.5)])] * m
+        loads[0 if k % 2 else rng.randrange(m)] = rng.uniform(0.5, 0.99)
+        yield loads
 
 
 def distinct_loads(m, w):

@@ -24,9 +24,10 @@ class TestLoadVector:
         with pytest.raises(ValueError):
             LoadVector(())
 
-    @pytest.mark.parametrize("bad", [-0.1, 1.0, 1.5, float("nan"), float("inf")])
+    @pytest.mark.parametrize("bad", [-0.1, -1e-300, 1.0, 1.5, float("nan"), float("inf"),
+                                     float("-inf")])
     def test_rejects_out_of_range(self, bad):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"load .* outside \[0, 1\)"):
             LoadVector((0.2, bad))
 
     def test_total_and_iteration(self):
@@ -40,6 +41,7 @@ class TestLoadVector:
 
     def test_zero_loads_are_legal(self):
         LoadVector((0.0, 0.0))  # only tui() rejects the all-zero vector
+        assert LoadVector((0.2, -0.0)).loads == (0.2, 0.0)
 
     @pytest.mark.parametrize("raw", [[0.3, 0.2], (0, 0), [np.float64(0.3), np.float64(0.2)],
                                      (0.3, np.float64(0.2))])
@@ -154,7 +156,8 @@ class TestMakeLoadVector:
             make_load_vector(2, 2.0, 1.0)
 
     def test_one_source(self):
-        assert make_load_vector(1, 0.5, 1.0).loads == (0.5,)
+        for total in (1e-300, 0.1, 0.5, 0.999999):
+            assert make_load_vector(1, total, 1.0).loads == (total,)
         with pytest.raises(InfeasibleTuiError):
             make_load_vector(1, 1.5, 1.0)
 
