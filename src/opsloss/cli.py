@@ -133,8 +133,7 @@ def cmd_tui(args: argparse.Namespace) -> int:
     if any(v is None for v in synth):
         raise ValueError("provide either --loads or all of --m, --total and --tui")
     loads = make_load_vector(args.m, args.total, args.tui)
-    # The one-hot family has two distinct loads: format each value once.
-    text = {x: repr(x) for x in dict.fromkeys(loads)}
+    text = {x: repr(x) for x in loads.classes}  # each distinct load formatted once
     print(",".join([text[x] for x in loads]))
     return 0
 

@@ -157,8 +157,8 @@ def ctmc_oracle(loads: LoadVector | Sequence[float],
     Returns the stationary distribution together with the same metric set
     the product-form solver reports, computed by summing over states.
     """
-    a, offered = _validated(loads, w)
-    m = len(a)
+    vector, offered = _validated(loads, w)
+    a, m = vector.loads, len(vector)
     lam = np.array(arrival_intensities(a))
 
     levels = _enumerate_levels(m, w)

@@ -20,9 +20,9 @@ Overflow (OFL)
     same product form untruncated: P(N = k) = e_k(r) / sum_j e_j(r). The
     lost fraction of offered load is E[(N-W)+] / E[N].
 
-Both models group the sources into load classes: the distinct loads, in
-order of first appearance, each with its multiplicity n_c. Sources of one
-class see the same blocking, so every leave-one-out quantity is computed
+Both models read the load classes the ``LoadVector`` carries (the distinct
+loads in order of first appearance, class c with n_c sources). Sources of
+one class see the same blocking, so every leave-one-out quantity is computed
 once per class, not once per source, on one core:
 
 - One binomial factor (1 + r_c x)^{n_c} per class. Suffix products and a
@@ -48,13 +48,9 @@ once per class, not once per source, on one core:
   coefficient W holds the overflow states N >= W; folding commutes with
   the products, and a class's blocking P(N without i >= W) is the top
   coefficient of its leave-one-out product over that product's sum.
-- OFL's traffic congestion comes from the same walk. With the sources in
-  class order, (N-W)+ counts the active sources that find at least W
-  active sources before them, so class c adds
-  sum_{j>=1} P(X_c >= j) P(N_<c >= W-j+1), X_c ~ Bin(n_c, A_c), where
-  N_<c has the law of the class's prefix row; the terms with j > W sum
-  to E[(X_c-W)+]. The law of X_c is read from the class factor's own
-  n_c + 1 terms before degree W is folded, so they are built once.
+- OFL's traffic congestion comes from the same walk (``engset_ofl``):
+  each class's prefix row, and its factor's own n_c + 1 terms read before
+  degree W is folded, so they are built once.
 
 Every step adds or multiplies nonnegative numbers.
 Every table row is rescaled by its peak when it grows past 1e150; all
@@ -104,30 +100,21 @@ class BlockingMetrics:
                 raise ValueError(f"congestion value {v!r} outside [0, 1]")
 
 
-@dataclass(frozen=True)
-class _LoadClasses:
-    """Sources grouped by load: distinct loads in order of first appearance."""
+def _per_source(vector: LoadVector, per_class: np.ndarray) -> tuple[float, ...]:
+    """Per-class values by source; the sources of a class share its float."""
+    values, n = per_class.tolist(), vector.counts[0]
+    if len(values) == len(vector):  # every load distinct: classes are sources
+        return tuple(values)
+    if len(values) == 1 or len(values) == 2 and n == 1:  # runs, as one hot and M - 1 cold
+        return (values[0],) * n + (values[-1],) * (len(vector) - n)
+    return tuple(map(dict(zip(vector.classes, values)).__getitem__, vector.loads))
 
-    loads: np.ndarray    # float64, one per class
-    counts: np.ndarray   # intp, sources per class
-    members: np.ndarray  # intp, class index of every source
 
-    @classmethod
-    def of(cls, loads: Sequence[float]) -> "_LoadClasses":
-        index: dict[float, int] = {}
-        members = np.fromiter((index.setdefault(x, len(index)) for x in loads), np.intp,
-                              len(loads))
-        return cls(np.fromiter(index, float, len(index)), np.bincount(members), members)
-
-    def per_source(self, per_class: np.ndarray) -> tuple[float, ...]:
-        """Per-class values by source; the sources of a class share its float."""
-        return tuple(map(per_class.tolist().__getitem__, self.members.data))
-
-    def total(self, per_class: Iterable[float]) -> float:
-        """Sum over sources of a per-class value. The solvers pass products
-        over memoryviews (``.data``): numpy products would load ufunc loops
-        that a small call runs nowhere else, about 150 KB of RSS."""
-        return math.fsum(n * x for n, x in zip(self.counts.data, per_class))
+def _total(counts: Sequence[int], per_class: Iterable[float]) -> float:
+    """Sum over sources of a per-class value. The solvers pass products over
+    memoryviews (``.data``): numpy products would load ufunc loops that a
+    small call runs nowhere else, about 150 KB of RSS."""
+    return math.fsum(n * x for n, x in zip(counts, per_class))
 
 
 def _snap01(x: float) -> float:
@@ -261,45 +248,14 @@ def _leave_one_out(factors: dict[int, np.ndarray], counts: Sequence[int], r: Seq
     return float(checkpoints[0][w]) / _nonzero(float(checkpoints.pop(0).sum())), pairs()
 
 
-def _validated(loads: LoadVector | Sequence[float], w: int) -> tuple[tuple[float, ...], float]:
+def _validated(loads: LoadVector | Sequence[float], w: int) -> tuple[LoadVector, float]:
     if w < 1:
         raise ValueError("W must be >= 1")
-    a = as_load_vector(loads).loads
-    offered = math.fsum(a)
+    vector = as_load_vector(loads)
+    offered = math.fsum(vector.loads)
     if offered == 0.0:
         raise ZeroTrafficError("congestion ratios undefined for zero offered traffic")
-    return a, offered
-
-
-def _lcc_metrics(classes: _LoadClasses, w: int) -> BlockingMetrics:
-    """Lost-calls-cleared metrics, one leave-one-out per load class."""
-    if w > len(classes.members):
-        return _unblocked(len(classes.members))
-    r = classes.loads / (1.0 - classes.loads)  # the odds, as arrival_intensities rounds them
-    factors = {c: _binomial_factor(n, rc, w, fold=False)
-               for c, (n, rc) in enumerate(zip(classes.counts.data, r.data)) if n > 1}
-    time_c, pairs = _leave_one_out(factors, classes.counts.data, r.data, w, fold=False)
-
-    per_call, per_traffic, attempt_weights = np.empty(len(r)), np.empty(len(r)), np.empty(len(r))
-    for c, ((prefix, rest), a, rc) in enumerate(zip(pairs, classes.loads.data, r.data)):
-        # Only three sums of the coefficients of prefix * rest are needed,
-        # each a dot product of prefix with rest or its running sums. The
-        # common unknown scale cancels below.
-        partial = np.cumsum(rest)
-        gi = _nonzero(float(prefix @ partial[::-1]))  # degrees 0..W
-        hi = float(prefix[:w] @ partial[w - 1::-1])    # degrees 0..W-1
-        eiw = float(prefix @ rest[::-1])               # degree W
-        ratio = rc * hi / gi  # P(i on) / P(i off)
-        per_call[c] = _snap01(eiw / gi)
-        attempt_weights[c] = rc / (1.0 + ratio)  # lam_i P(i off)
-        per_traffic[c] = eiw / (gi + rc * hi) if a > 0.0 else 0.0
-
-    call_c = (classes.total(wgt * b for wgt, b in zip(attempt_weights.data, per_call.data))
-              / classes.total(attempt_weights.data))
-    traffic_c = (classes.total(a * t for a, t in zip(classes.loads.data, per_traffic.data))
-                 / classes.total(classes.loads.data))
-    return _metrics(time_c, call_c, traffic_c, classes.per_source(per_call),
-                    classes.per_source(per_traffic))
+    return vector, offered
 
 
 def engset_lcc(loads: LoadVector | Sequence[float], w: int) -> BlockingMetrics:
@@ -317,8 +273,35 @@ def engset_lcc(loads: LoadVector | Sequence[float], w: int) -> BlockingMetrics:
                        the loss is small
     traffic congestion = sum_i A_i * per-source traffic / sum A_i
     """
-    a, _ = _validated(loads, w)
-    return _lcc_metrics(_LoadClasses.of(a), w)
+    vector, _ = _validated(loads, w)
+    if w > len(vector):
+        return _unblocked(len(vector))
+    counts, r = vector.counts, np.array(vector.classes)
+    r /= 1.0 - r  # the odds A_c / (1 - A_c), as arrival_intensities rounds them
+    factors = {c: _binomial_factor(n, rc, w, fold=False)
+               for c, (n, rc) in enumerate(zip(counts, r.data)) if n > 1}
+    time_c, pairs = _leave_one_out(factors, counts, r.data, w, fold=False)
+
+    per_call, per_traffic, attempt_weights = np.empty(len(r)), np.empty(len(r)), np.empty(len(r))
+    for c, ((prefix, rest), a, rc) in enumerate(zip(pairs, vector.classes, r.data)):
+        # Only three sums of the coefficients of prefix * rest are needed,
+        # each a dot product of prefix with rest or its running sums. The
+        # common unknown scale cancels below.
+        partial = np.cumsum(rest)
+        gi = _nonzero(float(prefix @ partial[::-1]))  # degrees 0..W
+        hi = float(prefix[:w] @ partial[w - 1::-1])    # degrees 0..W-1
+        eiw = float(prefix @ rest[::-1])               # degree W
+        ratio = rc * hi / gi  # P(i on) / P(i off)
+        per_call[c] = _snap01(eiw / gi)
+        attempt_weights[c] = rc / (1.0 + ratio)  # lam_i P(i off)
+        per_traffic[c] = eiw / (gi + rc * hi) if a > 0.0 else 0.0
+
+    call_c = (_total(counts, (wgt * b for wgt, b in zip(attempt_weights.data, per_call.data)))
+              / _total(counts, attempt_weights.data))
+    traffic_c = (_total(counts, (a * t for a, t in zip(vector.classes, per_traffic.data)))
+                 / _total(counts, vector.classes))
+    return _metrics(time_c, call_c, traffic_c, _per_source(vector, per_call),
+                    _per_source(vector, per_traffic))
 
 
 def engset_ofl(loads: LoadVector | Sequence[float], w: int) -> BlockingMetrics:
@@ -343,25 +326,24 @@ def engset_ofl(loads: LoadVector | Sequence[float], w: int) -> BlockingMetrics:
 
     which for a one-source class is A_c P(N_<c >= W).
     """
-    a, offered = _validated(loads, w)
-    if w > len(a):
-        return _unblocked(len(a))
-    classes = _LoadClasses.of(a)
-    r = classes.loads / (1.0 - classes.loads)  # the odds, as arrival_intensities rounds them
+    vector, offered = _validated(loads, w)
+    if w > len(vector):
+        return _unblocked(len(vector))
+    counts, r = vector.counts, np.array(vector.classes)
+    r /= 1.0 - r  # the odds A_c / (1 - A_c), as arrival_intensities rounds them
     # A class with n_c > 1 has terms C(n_c, k) r_c^k, k = 0..n_c, that give its
     # factor and its tail sums own[j] for P(X_c >= j), each scaled by its
     # law's total. The tails are read before _cut folds degree W in place.
     factors, tails = {}, {}
-    for c, (n, rc) in enumerate(zip(classes.counts.data, r.data)):
+    for c, (n, rc) in enumerate(zip(counts, r.data)):
         if n > 1:
             terms = _binomial_factor(n, rc, n, fold=False)
             tails[c] = np.cumsum(terms[::-1])[::-1]
             factors[c] = _cut(terms, w, fold=True)
-    time_c, pairs = _leave_one_out(factors, classes.counts.data, r.data, w, fold=True)
+    time_c, pairs = _leave_one_out(factors, counts, r.data, w, fold=True)
 
     per_call, excess = np.empty(len(r)), np.empty(len(r))
-    for c, ((prefix, rest), n, x) in enumerate(zip(pairs, classes.counts.data,
-                                                   classes.loads.data)):
+    for c, ((prefix, rest), n, x) in enumerate(zip(pairs, counts, vector.classes)):
         # P(N without i >= W) is the top coefficient of prefix * rest over
         # its sum.
         total = float(prefix.sum())
@@ -377,9 +359,9 @@ def engset_ofl(loads: LoadVector | Sequence[float], w: int) -> BlockingMetrics:
         excess[c] = (float(own[1:j + 1] @ before[w:w - j:-1]) / float(before[0])
                      + float(own[w + 1:].sum())) / float(own[0])
 
-    call_c = classes.total(x * b for x, b in zip(classes.loads.data, per_call.data)) / offered
+    call_c = _total(counts, (x * b for x, b in zip(vector.classes, per_call.data))) / offered
     traffic_c = math.fsum(excess) / offered  # E[(N-W)+] / E[N]
-    per_source = classes.per_source(per_call)
+    per_source = _per_source(vector, per_call)
     return _metrics(time_c, call_c, traffic_c, per_source, per_source)
 
 
@@ -392,5 +374,5 @@ def engset_classical(s: int, per_source_load: float, w: int) -> BlockingMetrics:
     """
     if s < 1:
         raise ValueError("S must be >= 1")
-    a, _ = _validated((per_source_load,), w)
-    return _lcc_metrics(_LoadClasses(np.array(a), np.array([s]), np.zeros(s, np.intp)), w)
+    x = _validated((per_source_load,), w)[0].loads[0]
+    return engset_lcc(LoadVector._of_classes((x,) * s, {x: s}), w)

@@ -61,8 +61,8 @@ from .traffic import LoadVector, arrival_intensities, as_load_vector
 
 MODES = ("cleared", "held")
 # Most sources a simulation runs. Each replication holds one random.Random
-# per source, and max RSS grows by about 3.1 KB per source, so at the cap a
-# run needs about 1.6 GB. Analytic models take up to SOURCE_CAP sources.
+# per source, max RSS grows by about 3.1 KB per source, so a run at the cap
+# needs about 1.6 GB. LoadVector caps analytic inputs at SOURCE_CAP sources.
 SIM_SOURCE_CAP = 2 ** 19
 
 

@@ -19,7 +19,8 @@ is strictly monotone in the hot weight and therefore bisectable.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import Counter
+from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
 from .errors import InfeasibleTuiError, SourceCountError, ZeroTrafficError
@@ -27,18 +28,21 @@ from .errors import InfeasibleTuiError, SourceCountError, ZeroTrafficError
 # Bisection stops when the uniformity index is matched this closely.
 TUI_TOLERANCE = 1e-10
 _MAX_BISECTION_STEPS = 200
-# Most sources make_load_vector builds. Synthesis itself peaks at 16 bytes
-# per source (the run of cold loads and the vector, which LoadVector keeps
-# without a copy), but `opsloss tui` prints every load and grows by about
-# 52 bytes of max RSS per source, so at the cap it needs about 0.9 GB.
+# Most sources a LoadVector holds; it validates each class once. Synthesis
+# still peaks at 16 bytes per source (the run of cold loads and the vector,
+# kept without a copy), but `opsloss tui` prints every load and grows by
+# about 52 bytes of max RSS per source, so at the cap it needs about 0.9 GB.
 SOURCE_CAP = 2 ** 24
 
 
 @dataclass(frozen=True)
 class LoadVector:
-    """Normalized per-channel loads A_i, each in [0, 1)."""
+    """Normalized per-channel loads A_i, each in [0, 1); ``classes`` are the distinct
+    loads in order of first appearance (equal floats merge), ``counts`` their sources."""
 
     loads: tuple[float, ...]
+    classes: tuple[float, ...] = field(init=False, repr=False, compare=False)
+    counts: tuple[int, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         loads = self.loads
@@ -46,10 +50,23 @@ class LoadVector:
             loads = tuple(float(a) for a in loads)
         if len(loads) < 1:
             raise ValueError("a load vector needs at least one channel")
-        for a in loads:
+        if len(loads) > SOURCE_CAP:
+            raise SourceCountError(f"M={len(loads)} sources exceed the load-vector cap "
+                                   f"SOURCE_CAP={SOURCE_CAP}")
+        self._set(loads, Counter(loads))
+
+    @classmethod
+    def _of_classes(cls, loads: tuple[float, ...], counts: dict[float, int]) -> LoadVector:
+        """The vector of ``loads``, at most SOURCE_CAP floats, and its classes' counts."""
+        return object.__new__(cls)._set(loads, counts)
+
+    def _set(self, loads: tuple[float, ...], counts: dict[float, int]) -> LoadVector:
+        for a in counts:
             if not 0.0 <= a < 1.0:
                 raise ValueError(f"load {a!r} outside [0, 1)")
-        object.__setattr__(self, "loads", loads)
+        classes = loads if len(counts) == len(loads) else tuple(counts)  # all distinct: shared
+        vars(self).update(loads=loads, classes=classes, counts=tuple(counts.values()))
+        return self
 
     def __len__(self) -> int:
         return len(self.loads)
@@ -184,7 +201,9 @@ def make_load_vector(m: int, total_load: float, target_tui: float) -> LoadVector
     if max(hot, cold) >= 1.0:
         raise InfeasibleTuiError(m, total_load, target, min_feasible_tui(m, total_load),
                                  cold=hot < 1.0)
-    return LoadVector((hot,) + (cold,) * (m - 1))
+    # Counter addition merges equal loads and drops the zero count at M = 1.
+    return LoadVector._of_classes((hot,) + (cold,) * (m - 1),
+                                  Counter({hot: 1}) + Counter({cold: m - 1}))
 
 
 def arrival_intensities(loads: LoadVector | Sequence[float]) -> tuple[float, ...]:

@@ -10,6 +10,7 @@ import pytest
 import opsloss
 from opsloss import (ANALYTIC_MODELS, SIM_SOURCE_CAP, SOURCE_CAP, STATE_CAP, SweepSpec,
                      make_preset, preset_names)
+from opsloss import traffic
 from opsloss.cli import build_parser, main
 
 SRC = Path(opsloss.__file__).resolve().parent.parent
@@ -136,6 +137,18 @@ class TestAnalyzeCommand:
         assert out == ""
         assert len(err.encode()) < 200
         assert "M=10000, W=5000 has more than 5000 states" in err
+
+    @pytest.mark.parametrize("model", ["lcc", "ofl", "classical", "oracle"])
+    def test_config_loads_over_source_cap_exit_2(self, capsys, tmp_path, monkeypatch, model):
+        # A config file's loads line has no command-line length limit.
+        monkeypatch.setattr(traffic, "SOURCE_CAP", 8)
+        cfg = tmp_path / "big.conf"
+        cfg.write_text(f"loads = {','.join(['0.01'] * 9)}\nw = 2\nmodel = {model}\n")
+        code, out, err = run_cli(capsys, "analyze", "--config", str(cfg))
+        assert (code, out) == (2, "")
+        assert "M=9 sources exceed the load-vector cap SOURCE_CAP=8" in err
+        cfg.write_text(f"loads = {','.join(['0.01'] * 8)}\nw = 2\nmodel = {model}\n")
+        assert run_cli(capsys, "analyze", "--config", str(cfg))[0] == 0
 
     def test_oracle_matches_lcc(self, capsys):
         _, out_a, _ = run_cli(capsys, "analyze", "--loads", "0.7,0.1", "--w", "1",

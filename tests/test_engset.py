@@ -13,8 +13,9 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from opsloss import (BlockingMetrics, ZeroTrafficError, ctmc_oracle, engset_classical,
-                     engset_lcc, engset_ofl, make_load_vector)
+from opsloss import (BlockingMetrics, LoadVector, ZeroTrafficError, ctmc_oracle,
+                     default_tui_grid, engset_classical, engset_lcc, engset_ofl,
+                     make_load_vector)
 from opsloss import engset
 
 loads_strategy = st.lists(st.floats(0.0, 0.95), min_size=1, max_size=8).filter(
@@ -273,6 +274,25 @@ class TestLoadClasses:
                 j = loads.index(x)  # the first source of i's class
                 assert metrics.per_source_call[i] == metrics.per_source_call[j]
                 assert metrics.per_source_traffic[i] == metrics.per_source_traffic[j]
+
+    def test_vector_classes_are_the_grouping_of_its_loads(self):
+        # Pooled and one-hot loads, given: the classes are those of a
+        # reference grouping in a dict.
+        for loads in pooled_and_one_hot_loads():
+            lv, groups = LoadVector(loads), {}
+            for x in loads:
+                groups[x] = groups.get(x, 0) + 1
+            assert repr((lv.classes, lv.counts)) == repr((tuple(groups), tuple(groups.values())))
+        # One-hot loads, synthesized with their classes: the same classes,
+        # and the same bits from both models, as the grouped flat tuple.
+        for m, w in ((256, 64), (1024, 256), (4096, 512)):
+            for target in default_tui_grid(m, 0.3 * w):
+                lv = make_load_vector(m, 0.3 * w, target)
+                flat = LoadVector(tuple(lv.loads))
+                assert (lv.classes, lv.counts) == (flat.classes, flat.counts)
+                for solver in (engset_lcc, engset_ofl):
+                    assert (repr(dataclasses.astuple(solver(lv, w)))
+                            == repr(dataclasses.astuple(solver(flat, w))))
 
     @pytest.mark.parametrize("solver", [engset_lcc, engset_ofl])
     def test_one_hot_memory_is_per_class(self, solver):

@@ -9,8 +9,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from opsloss import (SOURCE_CAP, InfeasibleTuiError, LoadVector, SourceCountError,
-                     ZeroTrafficError, arrival_intensities, make_load_vector, min_feasible_tui,
-                     tui)
+                     ZeroTrafficError, arrival_intensities, engset_lcc, engset_ofl,
+                     make_load_vector, min_feasible_tui, tui)
+from opsloss import traffic
 
 
 def closed_form_hot_weight(m: int, target: float) -> float:
@@ -54,6 +55,24 @@ class TestLoadVector:
     def test_tuple_of_floats_is_kept(self):
         raw = (0.3, 0.2, 0.0)
         assert LoadVector(raw).loads is raw
+        assert LoadVector(raw).classes is raw  # all distinct: the classes are the loads
+
+    def test_classes_merge_equal_floats_in_order_of_first_appearance(self):
+        lv = LoadVector((0.2, -0.0, 0.0, 0.2))
+        assert repr((lv.classes, lv.counts)) == "((0.2, -0.0), (2, 2))"
+        # Derived from the loads, so not part of the repr.
+        assert repr(lv) == "LoadVector(loads=(0.2, -0.0, 0.0, 0.2))"
+
+    def test_source_cap_is_checked_on_every_vector(self, monkeypatch):
+        monkeypatch.setattr(traffic, "SOURCE_CAP", 8)
+        assert LoadVector([0.1] * 8).counts == (8,)
+        for loads in ([0.1] * 9, [0.1, 0.2] * 5):
+            with pytest.raises(SourceCountError,
+                               match=f"M={len(loads)} sources exceed the load-vector cap "
+                                     "SOURCE_CAP=8"):
+                LoadVector(loads)
+            with pytest.raises(SourceCountError, match="SOURCE_CAP=8"):
+                engset_lcc(loads, 2)
 
 
 class TestTui:
@@ -106,6 +125,31 @@ class TestTui:
 class TestMakeLoadVector:
     def test_symmetric_target(self):
         assert make_load_vector(2, 0.8, 1.0).loads == (0.4, 0.4)
+
+    @pytest.mark.parametrize("m, total, target, counts", [
+        (4096, 460.8, 0.99, (1, 4095)),  # one hot source, M - 1 cold ones
+        (2, 0.8, 1.0, (2,)),  # hot and cold loads are equal floats
+        (1, 0.5, 1.0, (1,)),
+    ])
+    def test_synthesis_builds_the_classes(self, m, total, target, counts):
+        lv = make_load_vector(m, total, target)
+        assert lv.classes == tuple(dict.fromkeys(lv.loads))
+        assert lv.counts == counts
+        if m == 2:
+            assert lv.classes == (0.4,)
+
+    def test_synthesis_groups_no_source(self, monkeypatch):
+        # Only LoadVector(...) groups its loads, one pass over the sources.
+        def grouping(self):
+            raise AssertionError("grouped per source")
+
+        monkeypatch.setattr(LoadVector, "__post_init__", grouping)
+        with pytest.raises(AssertionError):
+            LoadVector((0.2,))
+        lv = make_load_vector(4096, 460.8, 0.99)
+        assert lv.counts == (1, 4095)
+        for solver in (engset_lcc, engset_ofl):
+            assert len(set(solver(lv, 512).per_source_call)) == 2
 
     # At 10**6 sources a copy through tuple(<generator>), which grows 25% at
     # a time, ends at 1,081,368 slots and peaks at 16.65 bytes per source.
