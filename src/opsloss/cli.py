@@ -128,7 +128,7 @@ def cmd_tui(args: argparse.Namespace) -> int:
     if args.loads is not None:
         if any(v is not None for v in synth):
             raise ValueError("--loads is mutually exclusive with --m/--total/--tui")
-        print("%#.9g" % compute_tui(LoadVector(args.loads)))
+        print("%#.9g" % compute_tui(args.loads))
         return 0
     if any(v is None for v in synth):
         raise ValueError("provide either --loads or all of --m, --total and --tui")

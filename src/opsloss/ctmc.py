@@ -159,7 +159,7 @@ def ctmc_oracle(loads: LoadVector | Sequence[float],
     """
     vector, offered = _validated(loads, w)
     a, m = vector.loads, len(vector)
-    lam = np.array(arrival_intensities(a))
+    lam = np.array(arrival_intensities(vector))
 
     levels = _enumerate_levels(m, w)
     top = len(levels) - 1

@@ -252,8 +252,7 @@ def _validated(loads: LoadVector | Sequence[float], w: int) -> tuple[LoadVector,
     if w < 1:
         raise ValueError("W must be >= 1")
     vector = as_load_vector(loads)
-    offered = math.fsum(vector.loads)
-    if offered == 0.0:
+    if (offered := vector.total) == 0.0:
         raise ZeroTrafficError("congestion ratios undefined for zero offered traffic")
     return vector, offered
 
@@ -374,5 +373,4 @@ def engset_classical(s: int, per_source_load: float, w: int) -> BlockingMetrics:
     """
     if s < 1:
         raise ValueError("S must be >= 1")
-    x = _validated((per_source_load,), w)[0].loads[0]
-    return engset_lcc(LoadVector._of_classes((x,) * s, {x: s}), w)
+    return engset_lcc(LoadVector._of_runs({float(per_source_load): s}), w)

@@ -220,7 +220,7 @@ def _replicate(spec: SimSpec, replication: int) -> ReplicationStats:
     m, w = len(a), spec.w
     horizon, warmup = spec.horizon, spec.warmup
     held = spec.mode == "held"
-    lam = arrival_intensities(a)
+    lam = arrival_intensities(spec.loads)
     draw = [random.Random(_substream_seed(spec.base_seed, replication, i)).random
             for i in range(m)]
     # -log(1 - U) / rate is exactly what random.expovariate computes; inlined

@@ -28,10 +28,9 @@ from .errors import InfeasibleTuiError, SourceCountError, ZeroTrafficError
 # Bisection stops when the uniformity index is matched this closely.
 TUI_TOLERANCE = 1e-10
 _MAX_BISECTION_STEPS = 200
-# Most sources a LoadVector holds; it validates each class once. Synthesis
-# still peaks at 16 bytes per source (the run of cold loads and the vector,
-# kept without a copy), but `opsloss tui` prints every load and grows by
-# about 52 bytes of max RSS per source, so at the cap it needs about 0.9 GB.
+# Most sources a LoadVector holds. Synthesis peaks at 16 bytes per source (the
+# run of cold loads and the vector), but `opsloss tui` prints every load and
+# grows by about 52 bytes of max RSS per source: about 0.9 GB at the cap.
 SOURCE_CAP = 2 ** 24
 
 
@@ -45,25 +44,16 @@ class LoadVector:
     counts: tuple[int, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        loads = self.loads
-        if type(loads) is not tuple or not all(type(a) is float for a in loads):
-            loads = tuple(float(a) for a in loads)
-        if len(loads) < 1:
-            raise ValueError("a load vector needs at least one channel")
-        if len(loads) > SOURCE_CAP:
-            raise SourceCountError(f"M={len(loads)} sources exceed the load-vector cap "
-                                   f"SOURCE_CAP={SOURCE_CAP}")
+        loads = _checked(self.loads)
         self._set(loads, Counter(loads))
 
     @classmethod
-    def _of_classes(cls, loads: tuple[float, ...], counts: dict[float, int]) -> LoadVector:
-        """The vector of ``loads``, at most SOURCE_CAP floats, and its classes' counts."""
-        return object.__new__(cls)._set(loads, counts)
+    def _of_runs(cls, counts: dict[float, int]) -> LoadVector:
+        """Each class's run of sources in turn, checked before it is built."""
+        _checked(tuple(counts), sum(counts.values()))
+        return object.__new__(cls)._set(sum(((x,) * n for x, n in counts.items()), ()), counts)
 
     def _set(self, loads: tuple[float, ...], counts: dict[float, int]) -> LoadVector:
-        for a in counts:
-            if not 0.0 <= a < 1.0:
-                raise ValueError(f"load {a!r} outside [0, 1)")
         classes = loads if len(counts) == len(loads) else tuple(counts)  # all distinct: shared
         vars(self).update(loads=loads, classes=classes, counts=tuple(counts.values()))
         return self
@@ -82,16 +72,29 @@ class LoadVector:
         return math.fsum(self.loads)
 
 
+def _checked(loads: Iterable[float], m: int | None = None) -> tuple[float, ...]:
+    """``loads`` as floats in [0, 1) for 1 to SOURCE_CAP sources (``m``, by default one
+    per load). Callers that read only the loads check raw ones here, ungrouped."""
+    if type(loads) is not tuple or not all(type(a) is float for a in loads):
+        loads = tuple(float(a) for a in loads)
+    if len(loads) < 1:
+        raise ValueError("a load vector needs at least one channel")
+    if (m := len(loads) if m is None else m) > SOURCE_CAP:
+        raise SourceCountError(f"M={m} sources exceed the load-vector cap SOURCE_CAP={SOURCE_CAP}")
+    for a in loads:
+        if not 0.0 <= a < 1.0:
+            raise ValueError(f"load {a!r} outside [0, 1)")
+    return loads
+
+
 def as_load_vector(loads: "LoadVector | Iterable[float]") -> LoadVector:
     """Coerce a raw sequence into a validated LoadVector."""
-    if isinstance(loads, LoadVector):
-        return loads
-    return LoadVector(tuple(loads))
+    return loads if isinstance(loads, LoadVector) else LoadVector(tuple(loads))
 
 
 def tui(loads: LoadVector | Sequence[float]) -> float:
     """Uniformity index (sum A)^2 / (M * sum A^2), in [1/M, 1]."""
-    a = as_load_vector(loads).loads
+    a = loads.loads if isinstance(loads, LoadVector) else _checked(loads)
     sum_sq = math.fsum(x * x for x in a)
     if sum_sq < 1e-280:
         # Squares of loads below about 1e-154 lose bits or underflow to zero.
@@ -202,12 +205,11 @@ def make_load_vector(m: int, total_load: float, target_tui: float) -> LoadVector
         raise InfeasibleTuiError(m, total_load, target, min_feasible_tui(m, total_load),
                                  cold=hot < 1.0)
     # Counter addition merges equal loads and drops the zero count at M = 1.
-    return LoadVector._of_classes((hot,) + (cold,) * (m - 1),
-                                  Counter({hot: 1}) + Counter({cold: m - 1}))
+    return LoadVector._of_runs(Counter({hot: 1}) + Counter({cold: m - 1}))
 
 
 def arrival_intensities(loads: LoadVector | Sequence[float]) -> tuple[float, ...]:
     """Per-source attempt intensities lam_i = A_i / (1 - A_i) at unit
     departure rate, which are also the odds r_i of the product form."""
-    a = as_load_vector(loads).loads
+    a = loads.loads if isinstance(loads, LoadVector) else _checked(loads)
     return tuple([x / (1.0 - x) for x in a])

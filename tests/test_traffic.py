@@ -9,8 +9,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from opsloss import (SOURCE_CAP, InfeasibleTuiError, LoadVector, SourceCountError,
-                     ZeroTrafficError, arrival_intensities, engset_lcc, engset_ofl,
-                     make_load_vector, min_feasible_tui, tui)
+                     ZeroTrafficError, arrival_intensities, engset_classical, engset_lcc,
+                     engset_ofl, make_load_vector, min_feasible_tui, tui)
 from opsloss import traffic
 
 
@@ -73,6 +73,19 @@ class TestLoadVector:
                 LoadVector(loads)
             with pytest.raises(SourceCountError, match="SOURCE_CAP=8"):
                 engset_lcc(loads, 2)
+        assert engset_classical(8, 0.1, 2) == engset_lcc([0.1] * 8, 2)
+        with pytest.raises(SourceCountError, match="M=9 sources exceed the load-vector cap"):
+            engset_classical(9, 0.1, 2)
+
+    def test_one_class_count_is_checked_before_its_loads_are_built(self):
+        tracemalloc.start()
+        try:
+            with pytest.raises(SourceCountError, match=f"M={SOURCE_CAP + 1} "):
+                engset_classical(SOURCE_CAP + 1, 0.1, 1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1_000_000  # SOURCE_CAP + 1 loads would take 128 MB
 
 
 class TestTui:
@@ -138,7 +151,7 @@ class TestMakeLoadVector:
         if m == 2:
             assert lv.classes == (0.4,)
 
-    def test_synthesis_groups_no_source(self, monkeypatch):
+    def test_only_a_vector_of_raw_loads_groups_them(self, monkeypatch):
         # Only LoadVector(...) groups its loads, one pass over the sources.
         def grouping(self):
             raise AssertionError("grouped per source")
@@ -150,6 +163,10 @@ class TestMakeLoadVector:
         assert lv.counts == (1, 4095)
         for solver in (engset_lcc, engset_ofl):
             assert len(set(solver(lv, 512).per_source_call)) == 2
+        # tui and arrival_intensities read only the loads: raw ones are checked, not grouped.
+        assert tui((0.2, 0.2)) == 1.0 and arrival_intensities([0.5, 0.0]) == (1.0, 0.0)
+        with pytest.raises(ValueError, match="load 1.0 outside"):
+            tui([0.2, 1.0])
 
     # At 10**6 sources a copy through tuple(<generator>), which grows 25% at
     # a time, ends at 1,081,368 slots and peaks at 16.65 bytes per source.
